@@ -3,7 +3,8 @@ weight |y| and for symmetrization of the associated Hardy-Sobolev
 minimization problem.
 
 Modules:
-    grid            radial and cylindrical grids, grid functions, gradients
+    grid            radial and cylindrical grids, grid functions, the staggered
+                    edge gradient
     functionals     weighted norms, Dirichlet energies, Rayleigh quotients
     sharp_constant  closed-form constants and the sharpness test families
     rearrange       decreasing rearrangement and double Schwarz symmetrization
@@ -32,7 +33,6 @@ from .grid import (
     CylGrid,
     GridFunction,
     RadialGrid,
-    gradient,
     grid_function_to_csv,
     integrate,
     make_radial_grid,

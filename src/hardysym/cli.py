@@ -65,6 +65,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_artifact(out: Path, stem: str, fmt: str, header, rows, payload: dict) -> None:
+    """Write rows as <stem>.csv with the given header, or payload as <stem>.json."""
+    if fmt == "csv":
+        _write_csv(out / f"{stem}.csv", header, rows)
+    else:
+        _write_json(out / f"{stem}.json", payload)
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg.get("out", "."))
     if not out.is_dir():
@@ -109,10 +117,7 @@ def cmd_constant(cfg: dict) -> int:
     value = hardy_constant(cfg["p"], cfg["alpha"], cfg["k"])
     out = _out_dir(cfg)
     row = {"p": float(cfg["p"]), "alpha": float(cfg["alpha"]), "k": int(cfg["k"]), "constant": value}
-    if cfg["format"] == "csv":
-        _write_csv(out / "constant.csv", ["p", "alpha", "k", "constant"], [row])
-    else:
-        _write_json(out / "constant.json", row)
+    _write_artifact(out, "constant", cfg["format"], ["p", "alpha", "k", "constant"], [row], row)
     print(f"{value:.17g}")
     return 0
 
@@ -137,10 +142,7 @@ def cmd_eps_sweep(cfg: dict) -> int:
         "tail_correction_num",
         "tail_correction_den",
     ]
-    if cfg["format"] == "csv":
-        _write_csv(out / "eps_sweep.csv", header, rows)
-    else:
-        _write_json(out / "eps_sweep.json", {"rows": rows})
+    _write_artifact(out, "eps_sweep", cfg["format"], header, rows, {"rows": rows})
     limit = hardy_constant(params.p, params.alpha, params.k) ** -1  # quotient limit
     for row in rows:
         _summary(f"eps={row['eps']:g}", row["closed_form"], row["quotient"])
@@ -164,10 +166,7 @@ def cmd_product_sweep(cfg: dict) -> int:
     )
     out = _out_dir(cfg)
     header = ["eps", "lambda", "numerator", "denominator", "quotient", "target", "rel_gap"]
-    if cfg["format"] == "csv":
-        _write_csv(out / "product_sweep.csv", header, rows)
-    else:
-        _write_json(out / "product_sweep.json", {"rows": rows})
+    _write_artifact(out, "product_sweep", cfg["format"], header, rows, {"rows": rows})
     best = min(rows, key=lambda r: r["quotient"])
     _summary("product-sweep", best["target"], best["quotient"])
     return 0
@@ -176,8 +175,9 @@ def cmd_product_sweep(cfg: dict) -> int:
 def _hs_grid(cfg: dict) -> CylGrid:
     n = _refined(cfg["n"], cfg)
     s_grid = make_radial_grid(cfg["k"], cfg["r_max"], n, "equimeasure")
-    t_grid = make_radial_grid(cfg["N"] - cfg["k"], cfg["r_max"], n, "equimeasure")
-    return CylGrid(s_grid, t_grid)
+    if cfg["N"] == cfg["k"]:
+        return CylGrid(s_grid)
+    return CylGrid(s_grid, make_radial_grid(cfg["N"] - cfg["k"], cfg["r_max"], n, "equimeasure"))
 
 
 def cmd_symmetrize(cfg: dict) -> int:
@@ -186,11 +186,7 @@ def cmd_symmetrize(cfg: dict) -> int:
     u = default_init(grid, "random", seed=cfg["seed"])
     report = symmetrize_and_compare(u, params)
     out = _out_dir(cfg)
-    header = sorted(report)
-    if cfg["format"] == "csv":
-        _write_csv(out / "symmetrize.csv", header, [report])
-    else:
-        _write_json(out / "symmetrize.json", report)
+    _write_artifact(out, "symmetrize", cfg["format"], sorted(report), [report], report)
     _summary("symmetrize", report["quotient_before"], report["quotient_after"])
     return 0
 
@@ -216,11 +212,7 @@ def cmd_split_demo(cfg: dict) -> int:
         lambda_scales=tuple(cfg["lambda_scales"]),
     )
     out = _out_dir(cfg)
-    header = sorted(result["rows"][0])
-    if cfg["format"] == "csv":
-        _write_csv(out / "split_demo.csv", header, result["rows"])
-    else:
-        _write_json(out / "split_demo.json", result)
+    _write_artifact(out, "split_demo", cfg["format"], sorted(result["rows"][0]), result["rows"], result)
     best = result["rows"][-1]
     _summary("split-demo", result["omega_infimum"], best["quotient"])
     return 0
@@ -327,6 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), help="artifact format")
         p.add_argument("--refine", type=int, help="grid-doubling level")
 
+    def hs_flags(p):
+        for flag, kind in (("--N", int), ("--k", int), ("--p", float), ("--beta", float)):
+            p.add_argument(flag, type=kind)
+
     p = sub.add_parser("constant", help="sharp constant p^p/(alpha+k)^p; CSV columns p,alpha,k,constant")
     p.add_argument("--p", type=float)
     p.add_argument("--alpha", type=float)
@@ -346,25 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
         "product-sweep",
         help="endpoint (beta=p) product-family ladder; CSV columns eps,lambda,numerator,denominator,quotient,target,rel_gap",
     )
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--beta", type=float)
+    hs_flags(p)
     common(p)
 
     p = sub.add_parser("symmetrize", help="quotient before/after double symmetrization")
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--beta", type=float)
+    hs_flags(p)
     p.add_argument("--n", type=int)
     common(p)
 
     p = sub.add_parser("minimize", help="projected descent on the constrained quotient; writes trace JSON + final CSV")
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--beta", type=float)
+    hs_flags(p)
     p.add_argument("--n", type=int)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     common(p)

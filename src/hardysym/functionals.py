@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParameterError, UsageError
-from .grid import CylGrid, GridFunction, gradient
+from .grid import CylGrid, GridFunction, StaggeredGradient, as_2d
 
 __all__ = [
     "Params",
@@ -107,46 +107,35 @@ class QuotientReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _s_dim(u: GridFunction) -> int:
-    return u.grid.k if isinstance(u.grid, CylGrid) else u.grid.dim
-
-
-def _s_weight(u: GridFunction, a: float) -> np.ndarray:
-    """Exact cell averages of |y|^a, broadcast over the grid's cells."""
-    if a + _s_dim(u) <= 0:
+def _s_weight(grid: CylGrid, a: float) -> np.ndarray:
+    """Exact cell averages of |y|^a as an (ns, 1) column."""
+    if a + grid.k <= 0:
         raise DomainError("weight |y|^a not integrable: a + k <= 0")
-    if isinstance(u.grid, CylGrid):
-        return u.grid.s_grid.weight_average(a)[:, None]
-    return u.grid.weight_average(a)
+    return grid.s_grid.weight_average(a)[:, None]
 
 
 def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
     """integral of u^p |y|^a over R^N, reduced to the grid."""
     if p <= 0:
         raise DomainError("exponent p must be positive")
-    w = _s_weight(u, a)
-    return float(np.sum(u.values**p * w * u.grid.cell_measures))
+    values, grid = as_2d(u)
+    return float(np.sum(values**p * _s_weight(grid, a) * grid.cell_measures))
 
 
-def weighted_dirichlet(u: GridFunction, p: float, a: float, direction: str = "both") -> float:
-    """integral of |grad u|^p |y|^a, with |grad u|^2 = (d_s u)^2 + (d_t u)^2.
+def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) -> float:
+    """integral of |grad u|^p |y|^a, with the gradient of StaggeredGradient.
 
-    direction="s" (or "t") keeps only one gradient component; by monotonicity
-    of the Euclidean norm this never exceeds the full-gradient energy.
+    The outer end of each radius is natural by default; `wall=True` adds the
+    Dirichlet wall edge that joins the last cell to zero at r_max.
     """
     if p <= 0:
         raise DomainError("exponent p must be positive")
-    du_s, du_t = gradient(u)
-    if direction == "both":
-        mag = np.hypot(du_s, du_t)
-    elif direction == "s":
-        mag = np.abs(du_s)
-    elif direction == "t":
-        mag = np.abs(du_t)
-    else:
-        raise UsageError(f"unknown direction {direction!r}")
-    w = _s_weight(u, a)
-    return float(np.sum(mag**p * w * u.grid.cell_measures))
+    values, grid = as_2d(u)
+    density = StaggeredGradient(grid, wall).cell_squares(values)
+    density **= p / 2.0
+    density *= _s_weight(grid, a) * grid.s_grid.cell_measures[:, None]
+    density *= grid.t_measures
+    return float(np.sum(density))
 
 
 def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:
@@ -164,7 +153,7 @@ def hs_constraint(u: GridFunction, params: Params) -> float:
     """Constraint integral int |u|^q |y|^(-beta) of the minimization problem."""
     if params.beta is None:
         raise UsageError("hs_constraint requires Hardy-Sobolev-mode params (beta set)")
-    if params.beta >= _s_dim(u):
+    if params.beta >= as_2d(u)[1].k:
         raise DomainError("beta < k violated: weight not integrable on this grid")
     return weighted_p_norm(u, params.q, -params.beta)
 

@@ -24,8 +24,9 @@ __all__ = [
     "GridFunction",
     "make_radial_grid",
     "radial_grid_from_edges",
+    "as_2d",
     "integrate",
-    "gradient",
+    "StaggeredGradient",
     "grid_function_to_csv",
 ]
 
@@ -236,9 +237,6 @@ def make_radial_grid(
     return radial_grid_from_edges(d, edges, desc)
 
 
-_DEGENERATE_T = "degenerate"
-
-
 @dataclass(frozen=True)
 class CylGrid:
     """Product grid for (|y|, |z|) with x = (y, z) in R^k x R^m, m = N - k.
@@ -338,61 +336,95 @@ def integrate(grid, cell_values) -> float:
     return float(np.sum(cell_values * measures))
 
 
-def _diff_along(values: np.ndarray, nodes: np.ndarray, axis: int) -> np.ndarray:
-    """Centered differences at interior nodes, one-sided at the two ends."""
-    if values.ndim == 1:
-        return _diff_along(values[:, None], nodes, 0).reshape(values.shape)
-    v = np.moveaxis(values, axis, 0)
-    r = nodes
-    out = np.empty_like(v, dtype=float)
-    out[1:-1] = (v[2:] - v[:-2]) / (r[2:] - r[:-2])[:, None]
-    out[0] = (v[1] - v[0]) / (r[1] - r[0])
-    out[-1] = (v[-1] - v[-2]) / (r[-1] - r[-2])
-    out = np.moveaxis(out, 0, axis)
-    return out.reshape(values.shape)
+def as_2d(u: GridFunction) -> tuple:
+    """(values as an (ns, nt) array, CylGrid) for radial or cylindrical input.
 
-
-def gradient(u: GridFunction) -> tuple:
-    """Per-cell gradient components (d/ds, d/dt) of a grid function.
-
-    Differences are centered at interior nodes and one-sided at the ends;
-    radial symmetry makes the zero-derivative origin condition automatic for
-    smooth data, and the test class vanishes at the truncation boundary.
-    The degenerate t-direction (m = 0) has zero derivative by construction.
+    A radial grid is viewed as a cylinder with no t-axis (m = 0).
     """
     if isinstance(u.grid, CylGrid):
-        grid = u.grid
-        if grid.s_grid.n < 2:
-            raise UsageError("gradient needs at least 2 cells in the s-direction")
-        du_s = _diff_along(u.values, grid.s_nodes, axis=0)
-        if grid.m == 0:
-            du_t = np.zeros_like(u.values)
-        else:
-            if grid.t_grid.n < 2:
-                raise UsageError("gradient needs at least 2 cells in the t-direction")
-            du_t = _diff_along(u.values, grid.t_nodes, axis=1)
-        return du_s, du_t
-    grid = u.grid
-    if grid.n < 2:
-        raise UsageError("gradient needs at least 2 cells")
-    return _diff_along(u.values, grid.nodes, axis=0), np.zeros_like(u.values)
+        return u.values, u.grid
+    return u.values[:, None], CylGrid(u.grid)
+
+
+def _inverse_spacings(grid: RadialGrid, wall: bool) -> np.ndarray:
+    """Inverse node-to-node distances across the interior edges, plus, with a
+    wall, the inverse distance from the last node to r_max."""
+    gaps = np.diff(grid.nodes)
+    if wall:
+        gaps = np.concatenate((gaps, [grid.r_max - grid.nodes[-1]]))
+    return 1.0 / gaps
+
+
+class StaggeredGradient:
+    """The discrete gradient: forward differences on cell edges.
+
+    Along each radius the edges are the origin edge, the interior edges
+    between neighbouring cells, and an outer edge at r_max.  The origin edge
+    carries zero gradient (radial symmetry).  With `wall` the outer edge joins
+    the last cell to the Dirichlet zero boundary; without it the outer edge
+    carries zero gradient (natural end).  Squared edge gradients averaged onto
+    the two edges of each cell give |grad u|^2 per cell.  Unlike centred
+    differences, this scheme has no oscillatory null mode.
+    """
+
+    def __init__(self, grid: CylGrid, wall: bool):
+        if not wall and (grid.s_grid.n < 2 or (grid.t_grid is not None and grid.t_grid.n < 2)):
+            raise UsageError("a natural-end gradient needs at least 2 cells along each radius")
+        self.wall = wall
+        self.inv_ds = _inverse_spacings(grid.s_grid, wall)
+        self.inv_dt = None if grid.t_grid is None else _inverse_spacings(grid.t_grid, wall)
+
+    def edges(self, values: np.ndarray) -> tuple:
+        """Edge gradients (gs, gt) of (ns, nt) cell values.
+
+        gs has shape (ns + 1, nt) and gt has shape (ns, nt + 1); gt is None
+        when the grid has no t-axis (m = 0).
+        """
+        ns, nt = values.shape
+        gs = np.zeros((ns + 1, nt))
+        np.subtract(values[1:], values[:-1], out=gs[1:ns])
+        gs[1:ns] *= self.inv_ds[: ns - 1, None]
+        if self.wall:
+            gs[ns] = -values[-1] * self.inv_ds[-1]
+        if self.inv_dt is None:
+            return gs, None
+        gt = np.zeros((ns, nt + 1))
+        np.subtract(values[:, 1:], values[:, :-1], out=gt[:, 1:nt])
+        gt[:, 1:nt] *= self.inv_dt[: nt - 1]
+        if self.wall:
+            gt[:, nt] = -values[:, -1] * self.inv_dt[-1]
+        return gs, gt
+
+    @staticmethod
+    def average(sq_s: np.ndarray, sq_t) -> np.ndarray:
+        """Cell averages 0.5 (sq_s[i] + sq_s[i+1]) + 0.5 (sq_t[j] + sq_t[j+1])
+        of squared edge gradients (sq_t None: no t-axis)."""
+        g2 = sq_s[:-1] + sq_s[1:]
+        g2 *= 0.5
+        if sq_t is not None:
+            half_t = sq_t[:, :-1] + sq_t[:, 1:]
+            half_t *= 0.5
+            g2 += half_t
+        return g2
+
+    def cell_squares(self, values: np.ndarray) -> np.ndarray:
+        """|grad u|^2 per cell: each edge gradient is squared once, in place."""
+        gs, gt = self.edges(values)
+        np.square(gs, out=gs)
+        if gt is not None:
+            np.square(gt, out=gt)
+        return self.average(gs, gt)
 
 
 def grid_function_to_csv(u: GridFunction, path) -> None:
     """Export a grid function as rows (s, t, value, cell_measure)."""
+    values, grid = as_2d(u)
+    measures = grid.cell_measures
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "t", "value", "cell_measure"])
-        if isinstance(u.grid, CylGrid):
-            s_nodes, t_nodes = u.grid.s_nodes, u.grid.t_nodes
-            measures = u.grid.cell_measures
-            for i, s in enumerate(s_nodes):
-                for j, t in enumerate(t_nodes):
-                    writer.writerow(
-                        [f"{s:.17g}", f"{t:.17g}", f"{u.values[i, j]:.17g}", f"{measures[i, j]:.17g}"]
-                    )
-        else:
-            for i, s in enumerate(u.grid.nodes):
+        for i, s in enumerate(grid.s_nodes):
+            for j, t in enumerate(grid.t_nodes):
                 writer.writerow(
-                    [f"{s:.17g}", "0", f"{u.values[i]:.17g}", f"{u.grid.cell_measures[i]:.17g}"]
+                    [f"{s:.17g}", f"{t:.17g}", f"{values[i, j]:.17g}", f"{measures[i, j]:.17g}"]
                 )

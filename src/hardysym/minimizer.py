@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, UsageError
-from .functionals import Params, hs_constraint, hs_quotient, weighted_dirichlet
-from .grid import CylGrid, GridFunction, make_radial_grid
+from .functionals import Params, hs_constraint, hs_quotient
+from .grid import CylGrid, GridFunction, StaggeredGradient, make_radial_grid
 from .rearrange import double_star
 from .sharp_constant import eps_family_truncated, product_family
 
@@ -74,56 +74,27 @@ class MinimizationTrace:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-class _StaggeredEnergy:
-    """Edge-based discrete Dirichlet p-energy on a cylindrical grid.
+class _StaggeredEnergy(StaggeredGradient):
+    """Discrete Dirichlet p-energy with the Dirichlet wall edge at r_max.
 
-    Gradients live on cell edges (forward differences); squared edge
-    gradients are averaged onto cells before taking the p/2 power.  Unlike a
-    cell-centered scheme, the staggered one has no spurious oscillatory null
-    mode, so descent cannot exploit grid-scale checkerboards.  The origin
-    edge carries zero gradient (radial symmetry); a wall edge at r_max
-    connects the last cell to the Dirichlet zero boundary.
-
+    The squared edge gradients of StaggeredGradient are averaged onto cells
+    before taking the p/2 power; the gradient is its exact adjoint.
     delta regularizes |grad u|^(p-2) at zero gradient for p != 2.
     """
 
     def __init__(self, grid: CylGrid, p: float, delta: float):
+        super().__init__(grid, wall=True)
         self.p = p
         self.delta = delta
         self.W = np.outer(grid.s_grid.cell_measures, grid.t_measures)
-        s = grid.s_nodes
-        # inverse spacings for edges 1..ns-1 (interior) and ns (wall)
-        self.inv_ds = 1.0 / np.concatenate((np.diff(s), [grid.s_grid.r_max - s[-1]]))
-        if grid.m >= 1 and grid.shape[1] >= 2:
-            t = grid.t_nodes
-            self.inv_dt = 1.0 / np.concatenate((np.diff(t), [grid.t_grid.r_max - t[-1]]))
-        else:
-            self.inv_dt = None
-
-    def _edge_gradients(self, U):
-        ns, nt = U.shape
-        gs = np.zeros((ns + 1, nt))
-        gs[1:ns] = (U[1:] - U[:-1]) * self.inv_ds[:-1, None]
-        gs[ns] = -U[-1] * self.inv_ds[-1]
-        if self.inv_dt is None:
-            gt = np.zeros((ns, nt + 1))
-        else:
-            gt = np.zeros((ns, nt + 1))
-            gt[:, 1:nt] = (U[:, 1:] - U[:, :-1]) * self.inv_dt[None, :-1]
-            gt[:, nt] = -U[:, -1] * self.inv_dt[-1]
-        return gs, gt
-
-    def _cell_square(self, U):
-        gs, gt = self._edge_gradients(U)
-        g2 = 0.5 * (gs[:-1] ** 2 + gs[1:] ** 2) + 0.5 * (gt[:, :-1] ** 2 + gt[:, 1:] ** 2)
-        return g2, gs, gt
 
     def value(self, U) -> float:
-        g2, _, _ = self._cell_square(U)
+        g2 = self.cell_squares(U)
         return float(np.sum((g2 + self.delta**2) ** (self.p / 2.0) * self.W))
 
     def value_and_gradient(self, U):
-        g2, gs, gt = self._cell_square(U)
+        gs, gt = self.edges(U)
+        g2 = self.average(gs**2, None if gt is None else gt**2)
         phi = (g2 + self.delta**2) ** (self.p / 2.0 - 1.0)
         energy = float(np.sum(phi * (g2 + self.delta**2) * self.W))
         psi = 0.5 * self.p * phi * self.W
@@ -135,7 +106,7 @@ class _StaggeredEnergy:
         Fs = 2.0 * ks * gs
         Fs[1:] *= self.inv_ds[:, None]
         grad = Fs[:-1] - Fs[1:]
-        if self.inv_dt is not None:
+        if gt is not None:
             kt = np.zeros_like(gt)
             kt[:, 1:nt] = 0.5 * (psi[:, :-1] + psi[:, 1:])
             kt[:, nt] = 0.5 * psi[:, -1]
@@ -185,17 +156,7 @@ def _project(grid: CylGrid, values: np.ndarray, params: Params) -> tuple:
 
 def _stiffness_1d(n: int, inv_d: np.ndarray, measures: np.ndarray) -> sp.csr_matrix:
     """1D edge-difference stiffness with zero-flux origin and Dirichlet wall."""
-    rows, cols, data = [], [], []
-    for e in range(1, n + 1):
-        inv = inv_d[e - 1]
-        rows.append(e)
-        cols.append(e - 1)
-        data.append(-inv)
-        if e < n:
-            rows.append(e)
-            cols.append(e)
-            data.append(inv)
-    D = sp.csr_matrix((data, (rows, cols)), shape=(n + 1, n))
+    D = sp.diags([-inv_d, np.concatenate(([0.0], inv_d[:-1]))], [-1, 0], shape=(n + 1, n))
     we = np.concatenate((np.zeros(1), 0.5 * (measures[:-1] + measures[1:]), [0.5 * measures[-1]]))
     return (D.T @ sp.diags(we) @ D).tocsr()
 
@@ -204,7 +165,7 @@ def _build_preconditioner(grid: CylGrid, energy: _StaggeredEnergy):
     """H1-type preconditioner: staggered stiffness (p = 2 coefficients) + mass.
 
     Symmetric positive definite thanks to the Dirichlet wall edge, so the
-    preconditioned gradient is always a descent direction.
+    preconditioned gradient always points downhill.
     """
     ns, nt = grid.shape
     ms = grid.s_grid.cell_measures
@@ -280,10 +241,10 @@ def minimize_hs(
         energy, grad_e = energy_fn.value_and_gradient(U)
         theta = p * energy / (q * constraint)
         grad_c = q * U ** (q - 1.0) * Wbeta
-        direction = grad_e - theta * grad_c
+        search = grad_e - theta * grad_c
         if lu is not None:
-            direction = lu.solve(direction.ravel()).reshape(U.shape)
-        dir_scale = np.max(np.abs(direction))
+            search = lu.solve(search.ravel()).reshape(U.shape)
+        dir_scale = np.max(np.abs(search))
         if dir_scale == 0.0 or not np.isfinite(dir_scale):
             trace.converged = True
             trace.stop_reason = "zero_gradient"
@@ -292,7 +253,7 @@ def minimize_hs(
         tau = min(2.0 * tau, 1e6)
         accepted = False
         for _ in range(opts.max_halvings + 1):
-            cand = np.clip(U - tau * direction, 0.0, None)
+            cand = np.clip(U - tau * search, 0.0, None)
             if not np.any(cand > 0):
                 tau *= 0.5
                 continue
@@ -302,7 +263,7 @@ def minimize_hs(
                 break
             tau *= 0.5
         if not accepted:
-            # cannot decrease along this direction: stationary up to line-search floor
+            # cannot decrease along this search vector: stationary up to line-search floor
             trace.converged = True
             trace.stop_reason = "step_rejected_at_stationarity"
             break

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
 from .functionals import weighted_dirichlet
-from .grid import CylGrid, GridFunction, integrate
+from .grid import GridFunction, as_2d, integrate
 
 __all__ = [
     "LayerProfile",
@@ -104,22 +104,14 @@ def granularity_mismatch(values, measures, rearranged=None) -> float:
     return worst
 
 
-def _as_2d(u: GridFunction):
-    """(values as (ns, nt), s-measures, t-measures) for radial or cylindrical input."""
-    if isinstance(u.grid, CylGrid):
-        return u.values, u.grid.s_grid.cell_measures, u.grid.t_measures
-    return u.values[:, None], u.grid.cell_measures, np.array([1.0])
-
-
 def _wrap_like(u: GridFunction, values: np.ndarray) -> GridFunction:
-    if isinstance(u.grid, CylGrid):
-        return GridFunction(u.grid, values)
-    return GridFunction(u.grid, values[:, 0])
+    return GridFunction(u.grid, values.reshape(u.values.shape))
 
 
 def schwarz_y(u: GridFunction) -> GridFunction:
     """Slice-wise decreasing rearrangement in |y| for each fixed |z|."""
-    values, ms, _ = _as_2d(u)
+    values, grid = as_2d(u)
+    ms = grid.s_grid.cell_measures
     if _equal_measures(ms):
         out = -np.sort(-values, axis=0)
     else:
@@ -131,7 +123,8 @@ def schwarz_y(u: GridFunction) -> GridFunction:
 
 def schwarz_z(u: GridFunction) -> GridFunction:
     """Slice-wise decreasing rearrangement in |z| for each fixed |y|."""
-    values, _, mt = _as_2d(u)
+    values, grid = as_2d(u)
+    mt = grid.t_measures
     if values.shape[1] == 1:
         return u
     if _equal_measures(mt):
@@ -166,7 +159,7 @@ def hardy_littlewood_check(u: GridFunction, v: GridFunction):
     Returns (plain, symmetrized).  On equal-measure grids the inequality is
     exact; on weighted grids it holds up to single-cell granularity.
     """
-    if u.grid is not v.grid and u.values.shape != v.values.shape:
+    if u.grid is not v.grid:
         raise UsageError("u and v must live on the same grid")
     if not is_double_star_fixed(v):
         raise UsageError("v must be a double_star fixed point")
@@ -222,11 +215,11 @@ def monotone_weight_constraint(u: GridFunction, g, h, q: float):
     h = np.asarray(h, dtype=float)
     _require_nonincreasing(g, "g")
     _require_nonincreasing(h, "h")
-    values, ms, mt = _as_2d(u)
+    values, grid = as_2d(u)
     if g.shape != (values.shape[0],) or h.shape != (values.shape[1],):
         raise UsageError("g and h must match the grid's s and t cell counts")
     weight = np.outer(g, h)
-    measures = np.outer(ms, mt)
+    measures = grid.cell_measures
     plain = float(np.sum(values**q * weight * measures))
-    symmetrized = float(np.sum(_as_2d(double_star(u))[0] ** q * weight * measures))
+    symmetrized = float(np.sum(as_2d(double_star(u))[0] ** q * weight * measures))
     return plain, symmetrized

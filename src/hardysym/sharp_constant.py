@@ -124,12 +124,6 @@ def tail_correction(tail: PowerTail, grid: RadialGrid, p: float, a: float) -> fl
     return sphere_area(grid.dim) * abs(tail.amplitude) ** p * grid.r_max**e / (-e)
 
 
-def default_eps_grid(n: int = 4096, r_max: float = 1e3) -> RadialGrid:
-    """Grid tuned for the plateau family: edge exactly at the kink r = 1,
-    geometric tail out to r_max."""
-    return make_radial_grid(3, r_max, n, "split", r_break=1.0)
-
-
 def eps_sweep(
     params: Params,
     eps_values: Sequence[float] = (1.0, 0.5, 0.1, 0.05, 0.01, 1e-3),
@@ -247,32 +241,29 @@ def split_infimum_demo(
     """Product-domain splitting: the quotient of v(x1) * w(x2 / lambda) on
     Omega x R approaches the Omega-only infimum as lambda grows.
 
-    v is the discrete first Dirichlet eigenfunction on Omega = (0, omega_width),
-    w a fixed even bump.  Returns per-lambda quotients plus the discrete
-    Omega-only infimum.
+    Omega = (0, omega_width) is folded about its midpoint onto a d = 1 radial
+    grid of n_omega / 2 cells on [0, omega_width / 2], so the cells have the
+    spacing of the n_omega-interval oracle `dirichlet_eigenvalue_interval`.
+    v(r) = cos(pi r / omega_width) is the first Dirichlet eigenfunction and w
+    a fixed even bump; the energy has the Dirichlet wall edge at the outer end
+    of both radii.  Returns per-lambda quotients plus the discrete Omega-only infimum.
     """
     if len(lambda_scales) == 0:
         raise ConfigurationError("lambda ladder must be non-empty")
     if omega_width <= 0:
         raise ConfigurationError("omega_width must be positive")
-    h = omega_width / n_omega
-    d = np.full(n_omega - 1, 2.0 / h**2)
-    e = np.full(n_omega - 2, -1.0 / h**2)
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    omega_infimum = float(vals[0])
-    v = np.concatenate(([0.0], np.abs(vecs[:, 0]), [0.0]))
-    xs = np.linspace(0.0, omega_width, n_omega + 1)
-
+    omega_infimum = dirichlet_eigenvalue_interval(omega_width, n_omega)
     lam_max = max(lambda_scales)
-    ts = np.linspace(0.0, 1.05 * lam_max, n_t + 1)
+    grid = CylGrid(
+        make_radial_grid(1, omega_width / 2.0, n_omega // 2, "uniform"),
+        make_radial_grid(1, 1.05 * lam_max, n_t, "uniform"),
+    )
+    v = np.cos(math.pi * grid.s_nodes / omega_width)
     rows = []
     for lam in sorted(lambda_scales):
-        U = np.outer(v, _default_bump(ts / lam))
-        du_x = np.gradient(U, xs, axis=0)
-        du_t = np.gradient(U, ts, axis=1)
-        mag = np.hypot(du_x, du_t)
-        num = float(np.trapezoid(np.trapezoid(mag**p, ts, axis=1), xs))
-        den = float(np.trapezoid(np.trapezoid(U**p, ts, axis=1), xs))
+        u = GridFunction(grid, np.outer(v, _default_bump(grid.t_nodes / lam)))
+        num = weighted_dirichlet(u, p, 0.0, wall=True)
+        den = weighted_p_norm(u, p, 0.0)
         rows.append(
             {
                 "lambda": lam,

@@ -85,6 +85,14 @@ def test_minimize_deterministic_trace(tmp_path):
     assert (d1 / "minimize_final.csv").read_bytes() == (d2 / "minimize_final.csv").read_bytes()
 
 
+def test_radial_problem_k_equals_n(tmp_path):
+    # k = N has no t-axis: the commands run the radial problem
+    assert run(["symmetrize", "--N", "3", "--k", "3", "--beta", "0"], tmp_path) == 0
+    assert run(["minimize", "--N", "3", "--k", "3", "--beta", "0"], tmp_path) == 0
+    quotients = json.loads((tmp_path / "minimize_trace.json").read_text())["quotients"]
+    assert all(b <= a for a, b in zip(quotients, quotients[1:]))
+
+
 def test_minimize_invalid_params(tmp_path, capsys):
     code = run(["minimize", "--beta", "3"], tmp_path)
     assert code == 2

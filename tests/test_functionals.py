@@ -97,26 +97,6 @@ def test_weighted_dirichlet_constant_is_zero():
     assert weighted_dirichlet(u, 2.0, 0.0) == 0.0
 
 
-def test_weighted_dirichlet_slice_consistency():
-    # s-component alone never exceeds the full gradient energy
-    g = cyl_grid(n=32)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        u = GridFunction(g, rng.uniform(size=g.shape))
-        full = weighted_dirichlet(u, 2.0, 0.0)
-        s_only = weighted_dirichlet(u, 2.0, 0.0, direction="s")
-        t_only = weighted_dirichlet(u, 2.0, 0.0, direction="t")
-        assert s_only <= full + 1e-12 * full
-        assert t_only <= full + 1e-12 * full
-
-
-def test_weighted_dirichlet_unknown_direction():
-    g = cyl_grid(n=8)
-    u = GridFunction(g, np.ones(g.shape))
-    with pytest.raises(UsageError):
-        weighted_dirichlet(u, 2.0, 0.0, direction="z")
-
-
 # ---------------------------------------------------------------------------
 # quotients
 

@@ -11,11 +11,11 @@ from hardysym import (
     DomainError,
     GridFunction,
     UsageError,
-    gradient,
     integrate,
     make_radial_grid,
     radial_grid_from_edges,
     sphere_area,
+    weighted_dirichlet,
 )
 
 GRADINGS = [
@@ -130,42 +130,60 @@ def test_weight_average_singularity_guard():
     assert np.all(np.isfinite(w))
 
 
-def test_gradient_constant_is_zero():
+def test_dirichlet_constant_is_zero():
     g = make_radial_grid(3, 1.0, 16, "uniform")
-    du, dt = gradient(GridFunction(g, np.ones(16)))
-    assert np.max(np.abs(du)) == 0.0
-    assert np.max(np.abs(dt)) == 0.0
+    assert weighted_dirichlet(GridFunction(g, np.ones(16)), 2.0, 0.0) == 0.0
+    assert weighted_dirichlet(GridFunction(g, np.ones(16)), 2.0, 0.0, wall=True) > 0.0
 
 
-def test_gradient_linear_exact():
-    g = make_radial_grid(1, 1.0, 50, "uniform")
-    du, _ = gradient(GridFunction(g, g.nodes))
-    assert np.max(np.abs(du - 1.0)) < 1e-12
+def test_dirichlet_linear_profile_edge_sum():
+    # unit slope on every interior edge; the zero-flux origin edge and the
+    # natural outer end give the first and last cells half weight
+    for grading, kw in GRADINGS:
+        g = make_radial_grid(2, 3.0, 40, grading, **kw)
+        half = np.ones(40)
+        half[[0, -1]] = 0.5
+        u = GridFunction(g, g.nodes)
+        for p in (2.0, 3.0):
+            exact = float(np.sum(half ** (p / 2) * g.cell_measures))
+            assert weighted_dirichlet(u, p, 0.0) == pytest.approx(exact, rel=1e-12)
 
 
-def test_gradient_quadratic_interior_accuracy():
-    g = make_radial_grid(1, 1.0, 100, "uniform")
-    du, _ = gradient(GridFunction(g, g.nodes**2))
-    interior = slice(1, -1)
-    assert np.max(np.abs(du[interior] - 2 * g.nodes[interior])) < 1e-3
+def test_dirichlet_quadratic_converges():
+    # u = 1 - r^2 in R^1: int |u'|^2 = 2 int_0^1 4 r^2 dr = 8/3
+    errors = []
+    for n in (50, 100, 200, 400):
+        g = make_radial_grid(1, 1.0, n, "uniform")
+        u = GridFunction(g, 1.0 - g.nodes**2)
+        errors.append(abs(weighted_dirichlet(u, 2.0, 0.0, wall=True) - 8.0 / 3.0))
+    assert errors[-1] < 1e-4
+    assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
-def test_gradient_cylindrical_components():
+def test_dirichlet_cylindrical_linear_profile():
+    # u = s + 2t: |grad u|^2 = 1 + 4 on cells away from the ends; each end
+    # cell loses half of the component normal to that end
     sg = make_radial_grid(2, 2.0, 20, "uniform")
     tg = make_radial_grid(2, 3.0, 25, "uniform")
     g = CylGrid(sg, tg)
     s = g.s_nodes[:, None]
     t = g.t_nodes[None, :]
     u = GridFunction(g, (s + 2 * t) * np.ones(g.shape))
-    du_s, du_t = gradient(u)
-    assert np.max(np.abs(du_s[1:-1, :] - 1.0)) < 1e-12
-    assert np.max(np.abs(du_t[:, 1:-1] - 2.0)) < 1e-12
+    ws = np.ones((20, 1))
+    ws[[0, -1]] = 0.5
+    wt = np.ones((1, 25))
+    wt[:, [0, -1]] = 0.5
+    exact = float(np.sum((ws + 4 * wt) * g.cell_measures))
+    assert weighted_dirichlet(u, 2.0, 0.0) == pytest.approx(exact, rel=1e-12)
 
 
-def test_gradient_single_cell_errors():
+def test_dirichlet_single_cell_errors():
     g = make_radial_grid(3, 1.0, 1, "uniform")
     with pytest.raises(UsageError):
-        gradient(GridFunction(g, np.ones(1)))
+        weighted_dirichlet(GridFunction(g, np.ones(1)), 2.0, 0.0)
+    cyl = CylGrid(make_radial_grid(2, 1.0, 4, "uniform"), make_radial_grid(2, 1.0, 1, "uniform"))
+    with pytest.raises(UsageError):
+        weighted_dirichlet(GridFunction(cyl, np.ones((4, 1))), 2.0, 0.0)
 
 
 def test_degenerate_t_grid():
@@ -175,9 +193,11 @@ def test_degenerate_t_grid():
     assert g.N == 3
     assert g.shape == (10, 1)
     assert g.t_measures.tolist() == [1.0]
-    u = GridFunction(g, np.ones((10, 1)))
-    _, du_t = gradient(u)
-    assert np.max(np.abs(du_t)) == 0.0
+    values = np.exp(-sg.nodes)
+    for wall in (False, True):
+        cyl = weighted_dirichlet(GridFunction(g, values[:, None]), 2.0, 1.0, wall=wall)
+        radial = weighted_dirichlet(GridFunction(sg, values), 2.0, 1.0, wall=wall)
+        assert cyl == radial
 
 
 def test_grid_function_validation():

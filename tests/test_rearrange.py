@@ -209,6 +209,15 @@ def test_hardy_littlewood_rejects_unsorted_weight():
         hardy_littlewood_check(u, v)
 
 
+def test_hardy_littlewood_rejects_other_grid():
+    # same shape, different cell measures: the integrals would mix two grids
+    u = GridFunction(eq_grid(8), np.ones((8, 8)))
+    other = CylGrid(make_radial_grid(2, 8.0, 8, "uniform"), make_radial_grid(2, 8.0, 8, "uniform"))
+    v = GridFunction(other, np.ones((8, 8)))
+    with pytest.raises(UsageError):
+        hardy_littlewood_check(u, v)
+
+
 def shifted_bump(grid, s0=2.0):
     s = grid.s_nodes[:, None]
     t = grid.t_nodes[None, :]
