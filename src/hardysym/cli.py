@@ -2,12 +2,15 @@
 
 Each subcommand builds a small config (defaults, then an optional JSON config
 file, then command-line flags, flags winning), runs one experiment, writes
-CSV/JSON artifacts to --out, and prints a one-line summary with the target
-value, the achieved value, and the relative gap.  Identical config and seed
-produce byte-identical artifacts.
+CSV/JSON artifacts to --out, and prints a one-line summary: the target value,
+the achieved value and the relative gap, or for `minimize` the initial and
+final quotients.  Identical config and seed produce byte-identical artifacts.
+A subcommand declares only the flags it uses, and a config file may hold only
+the keys of its defaults.
 
 Exit status: 0 on success, 2 on validation / degenerate-input errors (the
-message names the violated clause), 1 on I/O errors.
+message names the violated clause), unknown flags or unknown config keys,
+1 on I/O errors.
 """
 
 from __future__ import annotations
@@ -60,8 +63,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -92,6 +94,9 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must contain a JSON object")
+        unknown = sorted(set(loaded) - set(defaults))
+        if unknown:
+            raise ConfigurationError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:
@@ -101,7 +106,7 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _refined(n: int, cfg: dict) -> int:
-    return n * 2 ** int(cfg.get("refine", 0))
+    return n * 2 ** int(cfg["refine"])
 
 
 def _summary(name: str, target: float, achieved: float) -> None:
@@ -200,7 +205,7 @@ def cmd_minimize(cfg: dict) -> int:
     out = _out_dir(cfg)
     _write_json(out / "minimize_trace.json", trace.to_dict())
     grid_function_to_csv(trace.final_u, out / "minimize_final.csv")
-    _summary("minimize", trace.quotients[0], trace.quotients[-1])
+    print(f"minimize: initial={trace.quotients[0]:.12g} final={trace.quotients[-1]:.12g}")
     print(f"converged={trace.converged} stop_reason={trace.stop_reason} iters={len(trace.quotients) - 1}")
     return 0
 
@@ -268,15 +273,12 @@ def cmd_properties(cfg: dict) -> int:
 # argument parsing
 
 DEFAULTS = {
-    "constant": {"p": 2.0, "alpha": 0.0, "k": 3, "format": "csv", "out": ".", "seed": 0, "refine": 0},
-    "eps-sweep": {
-        "N": 3, "p": 2.0, "alpha": 0.0, "eps_ladder": None,
-        "format": "csv", "out": ".", "seed": 0, "refine": 0,
-    },
+    "constant": {"p": 2.0, "alpha": 0.0, "k": 3, "format": "csv", "out": "."},
+    "eps-sweep": {"N": 3, "p": 2.0, "alpha": 0.0, "eps_ladder": None, "format": "csv", "out": "."},
     "product-sweep": {
         "N": 4, "k": 3, "p": 2.0, "beta": 2.0, "ladder": None,
         "n_s": 4096, "n_t": 512, "log_r_max": 100.0,
-        "format": "csv", "out": ".", "seed": 0, "refine": 0,
+        "format": "csv", "out": ".", "refine": 0,
     },
     "symmetrize": {
         "N": 4, "k": 2, "p": 2.0, "beta": 1.0, "n": 64, "r_max": 8.0,
@@ -284,13 +286,13 @@ DEFAULTS = {
     },
     "minimize": {
         "N": 4, "k": 2, "p": 2.0, "beta": 1.0, "n": 64, "r_max": 8.0,
-        "max_iter": 2000, "format": "json", "out": ".", "seed": 0, "refine": 0,
+        "max_iter": 2000, "out": ".", "seed": 0, "refine": 0,
     },
     "split-demo": {
         "p": 2.0, "omega_width": 1.0, "lambda_scales": [1.0, 4.0, 16.0, 64.0],
-        "format": "csv", "out": ".", "seed": 0, "refine": 0,
+        "format": "csv", "out": ".",
     },
-    "properties": {"trials": 100000, "format": "json", "out": ".", "seed": 0, "refine": 0},
+    "properties": {"trials": 100000, "out": ".", "seed": 0},
 }
 
 HANDLERS = {
@@ -312,58 +314,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def subcommand(name, help):
+        """Subparser with --config and --out, plus whichever of --seed,
+        --format and --refine the subcommand's defaults hold."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=str, help="JSON config file (flags override it)")
         p.add_argument("--out", type=str, help="output directory (must exist)")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--format", choices=("csv", "json"), help="artifact format")
-        p.add_argument("--refine", type=int, help="grid-doubling level")
+        if "seed" in DEFAULTS[name]:
+            p.add_argument("--seed", type=int, help="random seed")
+        if "format" in DEFAULTS[name]:
+            p.add_argument("--format", choices=("csv", "json"), help="artifact format")
+        if "refine" in DEFAULTS[name]:
+            p.add_argument("--refine", type=int, help="grid-doubling level")
+        return p
 
     def hs_flags(p):
         for flag, kind in (("--N", int), ("--k", int), ("--p", float), ("--beta", float)):
             p.add_argument(flag, type=kind)
 
-    p = sub.add_parser("constant", help="sharp constant p^p/(alpha+k)^p; CSV columns p,alpha,k,constant")
+    p = subcommand("constant", "sharp constant p^p/(alpha+k)^p; CSV columns p,alpha,k,constant")
     p.add_argument("--p", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=int)
-    common(p)
 
-    p = sub.add_parser(
+    p = subcommand(
         "eps-sweep",
-        help="radial sharpness family vs closed form; CSV columns eps,numerator,denominator,quotient,closed_form,rel_err,tail_correction_num,tail_correction_den",
+        "radial sharpness family vs closed form; CSV columns eps,numerator,denominator,quotient,closed_form,rel_err,tail_correction_num,tail_correction_den",
     )
     p.add_argument("--N", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--alpha", type=float)
-    common(p)
 
-    p = sub.add_parser(
+    p = subcommand(
         "product-sweep",
-        help="endpoint (beta=p) product-family ladder; CSV columns eps,lambda,numerator,denominator,quotient,target,rel_gap",
+        "endpoint (beta=p) product-family ladder; CSV columns eps,lambda,numerator,denominator,quotient,target,rel_gap",
     )
     hs_flags(p)
-    common(p)
 
-    p = sub.add_parser("symmetrize", help="quotient before/after double symmetrization")
+    p = subcommand("symmetrize", "quotient before/after double symmetrization")
     hs_flags(p)
     p.add_argument("--n", type=int)
-    common(p)
 
-    p = sub.add_parser("minimize", help="projected descent on the constrained quotient; writes trace JSON + final CSV")
+    p = subcommand("minimize", "projected descent on the constrained quotient; writes trace JSON + final CSV")
     hs_flags(p)
     p.add_argument("--n", type=int)
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    common(p)
 
-    p = sub.add_parser("split-demo", help="product-domain infimum splitting vs 1D eigenvalue oracle")
+    p = subcommand("split-demo", "product-domain infimum splitting vs 1D eigenvalue oracle")
     p.add_argument("--p", type=float)
     p.add_argument("--omega-width", dest="omega_width", type=float)
-    common(p)
 
-    p = sub.add_parser("properties", help="randomized rearrangement/convexity self-checks")
+    p = subcommand("properties", "randomized rearrangement/convexity self-checks")
     p.add_argument("--trials", type=int)
-    common(p)
 
     return parser
 

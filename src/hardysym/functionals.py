@@ -77,6 +77,11 @@ class Params:
     def m(self) -> int:
         return self.N - self.k
 
+    def check_grid(self, grid: CylGrid) -> None:
+        """Raise UsageError unless grid has this problem's (k, m)."""
+        if (grid.k, grid.m) != (self.k, self.m):
+            raise UsageError(f"grid (k, m) = ({grid.k}, {grid.m}) does not match params ({self.k}, {self.m})")
+
 
 @dataclass(frozen=True)
 class QuotientReport:
@@ -142,6 +147,7 @@ def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:
     """Rayleigh quotient int |grad u|^p |y|^(a+p) / int |u|^p |y|^a."""
     if params.alpha is None:
         raise UsageError("hardy_quotient requires Hardy-mode params (alpha set)")
+    params.check_grid(as_2d(u)[1])
     num = weighted_dirichlet(u, params.p, params.alpha + params.p)
     den = weighted_p_norm(u, params.p, params.alpha)
     if den <= 0:
@@ -153,8 +159,7 @@ def hs_constraint(u: GridFunction, params: Params) -> float:
     """Constraint integral int |u|^q |y|^(-beta) of the minimization problem."""
     if params.beta is None:
         raise UsageError("hs_constraint requires Hardy-Sobolev-mode params (beta set)")
-    if params.beta >= as_2d(u)[1].k:
-        raise DomainError("beta < k violated: weight not integrable on this grid")
+    params.check_grid(as_2d(u)[1])
     return weighted_p_norm(u, params.q, -params.beta)
 
 

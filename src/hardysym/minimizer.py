@@ -29,27 +29,31 @@ __all__ = [
 ]
 
 
+DELTA_SCALE = 1e-8  # p-Laplacian regularization for p != 2, relative to grid diameter
+
+
 @dataclass(frozen=True)
 class DescentOptions:
     max_iter: int = 2000
     tol: float = 1e-10
     tau0: float = 1.0
     max_halvings: int = 40
-    precondition: bool = True
-    delta_scale: float = 1e-8  # p-Laplacian regularization, relative to grid diameter
     seed: int = 0
-    track_symmetry_every: int = 50
 
 
 @dataclass
 class MinimizationTrace:
-    """Iteration history of the constrained descent."""
+    """Iteration history of the constrained descent.
+
+    symmetry_deviation is max |u** - u| / max u for the final iterate u,
+    with u** its double symmetrization.
+    """
 
     energies: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
     quotients: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
-    symmetry_deviation: list = field(default_factory=list)
+    symmetry_deviation: float = 0.0
     final_u: Optional[GridFunction] = None
     converged: bool = False
     stop_reason: str = ""
@@ -58,7 +62,7 @@ class MinimizationTrace:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "energies": self.energies,
             "constraints": self.constraints,
             "quotients": self.quotients,
@@ -145,15 +149,6 @@ def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFuncti
     return GridFunction(grid, values)
 
 
-def _project(grid: CylGrid, values: np.ndarray, params: Params) -> tuple:
-    """Rescale to constraint value 1 (exact by q-homogeneity)."""
-    u = GridFunction(grid, values)
-    c = hs_constraint(u, params)
-    if c <= 0:
-        raise DegenerateInputError("cannot project: constraint integral is zero")
-    return GridFunction(grid, values * c ** (-1.0 / params.q)), c
-
-
 def _stiffness_1d(n: int, inv_d: np.ndarray, measures: np.ndarray) -> sp.csr_matrix:
     """1D edge-difference stiffness with zero-flux origin and Dirichlet wall."""
     D = sp.diags([-inv_d, np.concatenate(([0.0], inv_d[:-1]))], [-1, 0], shape=(n + 1, n))
@@ -170,15 +165,11 @@ def _build_preconditioner(grid: CylGrid, energy: _StaggeredEnergy):
     ns, nt = grid.shape
     ms = grid.s_grid.cell_measures
     mt = grid.t_measures
-    As = _stiffness_1d(ns, energy.inv_ds, ms)
-    term1 = sp.kron(As, sp.diags(mt))
+    A = sp.kron(_stiffness_1d(ns, energy.inv_ds, ms), sp.diags(mt))
     if energy.inv_dt is not None:
-        At = _stiffness_1d(nt, energy.inv_dt, mt)
-        term2 = sp.kron(sp.diags(ms), At)
-    else:
-        term2 = sp.csr_matrix((ns * nt, ns * nt))
-    mass = sp.diags(np.outer(ms, mt).ravel())
-    return splu((term1 + term2 + mass).tocsc())
+        A = A + sp.kron(sp.diags(ms), _stiffness_1d(nt, energy.inv_dt, mt))
+    A = A + sp.diags(np.outer(ms, mt).ravel())
+    return splu(A.tocsc())
 
 
 def minimize_hs(
@@ -191,101 +182,93 @@ def minimize_hs(
 
     The Dirichlet energy is discretized on staggered edges (see
     _StaggeredEnergy), with the zero boundary at r_max built into the wall
-    edges.  Each step moves against the constrained energy gradient
-    (preconditioned by an H1 solve by default), re-imposes nonnegativity, and
-    rescales back onto the constraint set.  A step is accepted only if the
-    quotient does not increase; backtracking halves the step size.
-    Convergence is declared on relative quotient stagnation.
+    edges.  Each step moves against the constrained energy gradient,
+    preconditioned by an H1 solve, re-imposes nonnegativity, and rescales
+    back onto the constraint set.  A step is accepted only if the quotient
+    does not increase; backtracking halves the step size.  Convergence is
+    declared on relative quotient stagnation.
     """
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
-    if isinstance(init, str):
-        u0 = default_init(grid, init, seed=opts.seed)
-    else:
-        u0 = init
+    params.check_grid(grid)
+    u0 = default_init(grid, init, seed=opts.seed) if isinstance(init, str) else init
+    if u0.values.shape != grid.shape:
+        raise UsageError(f"initializer shape {u0.values.shape} does not match grid {grid.shape}")
     if not np.any(u0.values > 0):
         raise DegenerateInputError("all-zero initializer")
 
     p, q, beta = params.p, params.q, params.beta
-    ms = grid.s_grid.cell_measures
-    mt = grid.t_measures
-    Wbeta = np.outer(grid.s_grid.weight_average(-beta) * ms, mt)
+    # constraint factors, summed in hs_constraint's order so the sums match it
+    w = grid.s_grid.weight_average(-beta)
+    s_weight = w[:, None]
+    cell_measures = grid.cell_measures
+    Wbeta = np.outer(w * grid.s_grid.cell_measures, grid.t_measures)
 
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
-    delta = opts.delta_scale * diam if p != 2.0 else 0.0
+    delta = DELTA_SCALE * diam if p != 2.0 else 0.0
     energy_fn = _StaggeredEnergy(grid, p, delta)
-
-    lu = _build_preconditioner(grid, energy_fn) if opts.precondition else None
-
+    lu = _build_preconditioner(grid, energy_fn)
     trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
 
-    def evaluate(values):
-        u, _ = _project(grid, values, params)
-        c = hs_constraint(u, params)
-        e = energy_fn.value(u.values)
-        return u, c, e, e / c ** (p / q)
+    def constraint(V):
+        return float(np.sum(V**q * s_weight * cell_measures))
 
-    u, constraint, energy, quotient = evaluate(np.clip(u0.values, 0.0, None))
+    def evaluate(V):
+        """Rescale V to constraint value 1 (exact by q-homogeneity); return it
+        with its constraint, energy and quotient."""
+        c = constraint(V)
+        if not np.isfinite(c):
+            raise DomainError("constraint integral is not finite")
+        if c <= 0:
+            raise DegenerateInputError("cannot project: constraint integral is zero")
+        V = V * c ** (-1.0 / q)
+        c = constraint(V)
+        e = energy_fn.value(V)
+        return V, c, e, e / c ** (p / q)
 
-    def record(e, c, q_val, tau):
-        trace.energies.append(e)
-        trace.constraints.append(c)
-        trace.quotients.append(q_val)
-        trace.step_sizes.append(tau)
-
-    record(energy, constraint, quotient, 0.0)
-
+    U, c, energy, quotient = evaluate(np.clip(u0.values, 0.0, None))
+    history = [(energy, c, quotient, 0.0)]
     tau = opts.tau0
-    for it in range(opts.max_iter):
-        U = u.values
+    for _ in range(opts.max_iter):
         energy, grad_e = energy_fn.value_and_gradient(U)
-        theta = p * energy / (q * constraint)
+        theta = p * energy / (q * c)
         grad_c = q * U ** (q - 1.0) * Wbeta
-        search = grad_e - theta * grad_c
-        if lu is not None:
-            search = lu.solve(search.ravel()).reshape(U.shape)
+        search = lu.solve((grad_e - theta * grad_c).ravel()).reshape(U.shape)
         dir_scale = np.max(np.abs(search))
         if dir_scale == 0.0 or not np.isfinite(dir_scale):
-            trace.converged = True
-            trace.stop_reason = "zero_gradient"
+            trace.converged, trace.stop_reason = True, "zero_gradient"
             break
 
         tau = min(2.0 * tau, 1e6)
-        accepted = False
         for _ in range(opts.max_halvings + 1):
             cand = np.clip(U - tau * search, 0.0, None)
-            if not np.any(cand > 0):
-                tau *= 0.5
-                continue
-            u_new, c_new, e_new, q_new = evaluate(cand)
-            if q_new <= quotient:
-                accepted = True
-                break
+            if np.any(cand > 0):
+                V, c_new, e_new, q_new = evaluate(cand)
+                if q_new <= quotient:
+                    break
             tau *= 0.5
-        if not accepted:
+        else:
             # cannot decrease along this search vector: stationary up to line-search floor
-            trace.converged = True
-            trace.stop_reason = "step_rejected_at_stationarity"
+            trace.converged, trace.stop_reason = True, "step_rejected_at_stationarity"
             break
 
         rel_change = abs(quotient - q_new) / max(quotient, 1e-300)
-        u, constraint, energy, quotient = u_new, c_new, e_new, q_new
-        record(energy, constraint, quotient, tau)
-        if opts.track_symmetry_every and (it % opts.track_symmetry_every == 0):
-            dev = np.max(np.abs(double_star(u).values - u.values)) / max(u.values.max(), 1e-300)
-            trace.symmetry_deviation.append({"iter": it, "deviation": float(dev)})
+        U, c, energy, quotient = V, c_new, e_new, q_new
+        history.append((energy, c, quotient, tau))
         if rel_change < opts.tol:
-            trace.converged = True
-            trace.stop_reason = "quotient_stagnation"
+            trace.converged, trace.stop_reason = True, "quotient_stagnation"
             break
     else:
         trace.stop_reason = "max_iter"
         # monotone trace throughout; flag convergence if the tail is flat
-        if len(trace.quotients) >= 2:
-            tail = abs(trace.quotients[-2] - trace.quotients[-1]) / trace.quotients[-1]
+        if len(history) >= 2:
+            tail = abs(history[-2][2] - history[-1][2]) / history[-1][2]
             trace.converged = tail < math.sqrt(opts.tol)
 
-    trace.final_u = u
+    trace.energies, trace.constraints, trace.quotients, trace.step_sizes = map(list, zip(*history))
+    trace.final_u = GridFunction(grid, U)
+    deviation = np.max(np.abs(double_star(trace.final_u).values - U)) / max(U.max(), 1e-300)
+    trace.symmetry_deviation = float(deviation)
     return trace
 
 

@@ -93,6 +93,49 @@ def test_radial_problem_k_equals_n(tmp_path):
     assert all(b <= a for a, b in zip(quotients, quotients[1:]))
 
 
+def test_minimize_summary_and_trace_schema(tmp_path, capsys):
+    assert run(["minimize", "--n", "16", "--max-iter", "20"], tmp_path) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("minimize: initial=") and " final=" in summary
+    payload = json.loads((tmp_path / "minimize_trace.json").read_text())
+    assert payload["schema_version"] == 2
+    assert isinstance(payload["symmetry_deviation"], float)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constant", "--seed", "1"],
+        ["constant", "--refine", "1"],
+        ["eps-sweep", "--seed", "1"],
+        ["eps-sweep", "--refine", "1"],
+        ["split-demo", "--seed", "1"],
+        ["split-demo", "--refine", "1"],
+        ["product-sweep", "--seed", "1"],
+        ["minimize", "--format", "csv"],
+        ["properties", "--format", "csv"],
+        ["properties", "--refine", "1"],
+    ],
+)
+def test_unused_flag_rejected(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args, tmp_path)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("constant", "refine"), ("properties", "format"), ("minimize", "max_iters")],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    code = run([command, "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_minimize_invalid_params(tmp_path, capsys):
     code = run(["minimize", "--beta", "3"], tmp_path)
     assert code == 2

@@ -162,6 +162,23 @@ def test_hs_constraint_zero_function():
         hs_quotient(u, params)
 
 
+def test_functionals_reject_grid_not_matching_params():
+    # N=4, k=2 params on a (k, m) = (3, 3) grid and on an m = 0 grid
+    params = Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
+    for g in (cyl_grid(n=16, k=3, m=3), CylGrid(make_radial_grid(2, 8.0, 16, "uniform"))):
+        u = GridFunction(g, np.ones(g.shape))
+        with pytest.raises(UsageError):
+            hs_constraint(u, params)
+        with pytest.raises(UsageError):
+            hs_quotient(u, params)
+    radial = make_radial_grid(2, 1.0, 16, "uniform")
+    u = GridFunction(radial, 1.0 - radial.nodes)
+    with pytest.raises(UsageError):
+        hardy_quotient(u, Params.hardy(N=3, k=3, p=2, alpha=0))
+    with pytest.raises(UsageError):
+        hardy_quotient(u, Params.hardy(N=3, k=2, p=2, alpha=0))
+
+
 def test_quotient_mode_mismatch():
     g = cyl_grid(n=8)
     u = GridFunction(g, np.ones(g.shape))

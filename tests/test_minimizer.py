@@ -9,6 +9,7 @@ from hardysym import (
     DescentOptions,
     DomainError,
     GridFunction,
+    UsageError,
     Params,
     default_init,
     double_star,
@@ -103,6 +104,49 @@ def test_minimizer_and_hs_quotient_share_the_energy():
     for n in (32, 64):
         tr = minimize_hs(HS_PARAMS, hs_grid(n))
         assert hs_quotient(tr.final_u, HS_PARAMS).value == pytest.approx(tr.quotients[-1], rel=1e-3)
+
+
+def test_symmetry_deviation_is_that_of_the_final_iterate():
+    # On uniform grids the iterates alternate between the symmetric class and
+    # a point about 3e-4 outside it; the trace reports the final iterate's.
+    g = hs_grid(64)
+    s = g.s_nodes[:, None]
+    t = g.t_nodes[None, :]
+    u0 = GridFunction(g, np.exp(-((s - 1.01) ** 2 + (t - 0.28) ** 2) / 0.97**2))
+    tr = minimize_hs(HS_PARAMS, g, init=u0, opts=DescentOptions(max_iter=100, tol=0.0))
+    u = tr.final_u.values
+    assert tr.symmetry_deviation == np.max(np.abs(double_star(tr.final_u).values - u)) / u.max()
+    assert tr.symmetry_deviation == pytest.approx(4.15e-4, rel=1e-2)
+    assert json.loads(tr.to_json())["symmetry_deviation"] == tr.symmetry_deviation
+
+
+@pytest.mark.parametrize(
+    "params, grid",
+    [
+        (HS_PARAMS, hs_grid(32)),
+        (
+            Params.hardy_sobolev(N=3, k=3, p=2, beta=1),
+            CylGrid(make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2)),
+        ),
+    ],
+)
+def test_trace_constraint_is_hs_constraint(params, grid):
+    tr = minimize_hs(params, grid, opts=DescentOptions(max_iter=50))
+    assert tr.constraints[-1] == hs_constraint(tr.final_u, params)
+
+
+def test_grid_not_matching_params_rejected():
+    # N=4, k=2 params on a (k, m) = (3, 3) grid
+    g = CylGrid(make_radial_grid(3, 8.0, 16, "uniform"), make_radial_grid(3, 8.0, 16, "uniform"))
+    with pytest.raises(UsageError):
+        minimize_hs(HS_PARAMS, g, opts=DescentOptions(max_iter=1))
+    with pytest.raises(UsageError):
+        symmetrize_and_compare(default_init(g, "bump"), HS_PARAMS)
+
+
+def test_initializer_on_another_grid_rejected():
+    with pytest.raises(UsageError):
+        minimize_hs(HS_PARAMS, hs_grid(16), init=default_init(hs_grid(8), "bump"))
 
 
 def test_symmetrize_and_compare_fixed_point():

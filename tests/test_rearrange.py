@@ -238,16 +238,11 @@ def test_polya_szego_fixed_point_equality():
 
 
 def test_polya_szego_shifted_bump_and_refinement():
-    slacks = []
-    energies = []
+    # the discrete chain holds exactly for this input at every n
     for n in (64, 128):
-        g = eq_grid(n)
-        rep = polya_szego_check(shifted_bump(g), 2.0)
-        assert rep.energy_star <= rep.energy_plain + rep.slack + 1e-12
-        slacks.append(rep.slack)
-        energies.append(rep)
-    # slack shrinks by >= 1.5x under refinement (or is already at zero floor)
-    assert slacks[1] <= max(slacks[0] / 1.5, 1e-12)
+        rep = polya_szego_check(shifted_bump(eq_grid(n)), 2.0)
+        assert rep.energy_double_star <= rep.energy_star <= rep.energy_plain
+        assert rep.slack == 0.0
 
 
 def test_monotone_weight_constraint():
