@@ -10,7 +10,7 @@ the keys of its defaults.
 
 Exit status: 0 on success, 2 on validation / degenerate-input errors (the
 message names the violated clause), unknown flags or unknown config keys,
-1 on I/O errors.
+3 when `properties` finds a violation, 1 on I/O errors.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def cmd_properties(cfg: dict) -> int:
     _write_json(out / "properties.json", results)
     total = sum(results.values())
     print(f"properties: {len(results)} checks, {total} violations")
-    return 0 if total == 0 else 2
+    return 0 if total == 0 else 3
 
 
 # ---------------------------------------------------------------------------

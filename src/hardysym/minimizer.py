@@ -156,20 +156,36 @@ def _stiffness_1d(n: int, inv_d: np.ndarray, measures: np.ndarray) -> sp.csr_mat
     return (D.T @ sp.diags(we) @ D).tocsr()
 
 
-def _build_preconditioner(grid: CylGrid, energy: _StaggeredEnergy):
-    """H1-type preconditioner: staggered stiffness (p = 2 coefficients) + mass.
+def _generalized_eigh(A: sp.csr_matrix, measures: np.ndarray):
+    """Eigenpairs of the pencil (A, M), M = diag(measures): V.T A V = diag(lam), V.T M V = I."""
+    h = 1.0 / np.sqrt(measures)
+    lam, Q = np.linalg.eigh(h[:, None] * A.toarray() * h[None, :])
+    return lam, h[:, None] * Q
 
-    Symmetric positive definite thanks to the Dirichlet wall edge, so the
-    preconditioned gradient always points downhill.
+
+def _build_preconditioner(grid: CylGrid, energy: _StaggeredEnergy):
+    """H1-type preconditioner As⊗Mt + Ms⊗At + Ms⊗Mt: staggered stiffness
+    (p = 2 coefficients) plus the diagonal cell-measure mass.
+
+    The mass term alone makes it symmetric positive definite, so the
+    preconditioned gradient always points downhill.  Returns a callable that
+    solves it for an (ns, nt) array.  A cylinder grid (m >= 1) gets the fast
+    diagonalization method (Lynch, Rice & Thomas 1964): each solve is four
+    dense matmuls in the generalized eigenbases of the two 1-D pencils.  A
+    radial grid (m = 0, where ns can be thousands) gets a sparse LU of the
+    tridiagonal matrix.
     """
     ns, nt = grid.shape
     ms = grid.s_grid.cell_measures
     mt = grid.t_measures
-    A = sp.kron(_stiffness_1d(ns, energy.inv_ds, ms), sp.diags(mt))
-    if energy.inv_dt is not None:
-        A = A + sp.kron(sp.diags(ms), _stiffness_1d(nt, energy.inv_dt, mt))
-    A = A + sp.diags(np.outer(ms, mt).ravel())
-    return splu(A.tocsc())
+    As = _stiffness_1d(ns, energy.inv_ds, ms)
+    if energy.inv_dt is None:
+        lu = splu((sp.kron(As, sp.diags(mt)) + sp.diags(np.outer(ms, mt).ravel())).tocsc())
+        return lambda R: lu.solve(R.ravel()).reshape(R.shape)
+    lam_s, Vs = _generalized_eigh(As, ms)
+    lam_t, Vt = _generalized_eigh(_stiffness_1d(nt, energy.inv_dt, mt), mt)
+    denom = lam_s[:, None] + lam_t[None, :] + 1.0
+    return lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T
 
 
 def minimize_hs(
@@ -207,7 +223,7 @@ def minimize_hs(
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
     energy_fn = _StaggeredEnergy(grid, p, delta)
-    lu = _build_preconditioner(grid, energy_fn)
+    solve = _build_preconditioner(grid, energy_fn)
     trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
 
     def constraint(V):
@@ -233,7 +249,7 @@ def minimize_hs(
         energy, grad_e = energy_fn.value_and_gradient(U)
         theta = p * energy / (q * c)
         grad_c = q * U ** (q - 1.0) * Wbeta
-        search = lu.solve((grad_e - theta * grad_c).ravel()).reshape(U.shape)
+        search = solve(grad_e - theta * grad_c)
         dir_scale = np.max(np.abs(search))
         if dir_scale == 0.0 or not np.isfinite(dir_scale):
             trace.converged, trace.stop_reason = True, "zero_gradient"

@@ -175,6 +175,14 @@ def test_properties_clean(tmp_path, capsys):
     assert payload["convexity_violations"] == 0
 
 
+def test_properties_violation_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr("hardysym.cli.convexity_bound", lambda s, t, lam, p: (2.0, 1.0))
+    code = run(["properties", "--trials", "10"], tmp_path)
+    assert code == 3
+    payload = json.loads((tmp_path / "properties.json").read_text())
+    assert payload["convexity_violations"] == 10
+
+
 @pytest.mark.parametrize(
     "args, clause",
     [

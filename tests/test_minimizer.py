@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from hardysym import (
     CylGrid,
@@ -20,6 +22,7 @@ from hardysym import (
     minimize_hs,
     symmetrize_and_compare,
 )
+from hardysym.minimizer import _build_preconditioner, _StaggeredEnergy, _stiffness_1d
 
 HS_PARAMS = Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
 
@@ -147,6 +150,35 @@ def test_grid_not_matching_params_rejected():
 def test_initializer_on_another_grid_rejected():
     with pytest.raises(UsageError):
         minimize_hs(HS_PARAMS, hs_grid(16), init=default_init(hs_grid(8), "bump"))
+
+
+@pytest.mark.parametrize(
+    "s_grid, t_grid",
+    [
+        (make_radial_grid(2, 8.0, 48, "uniform"), make_radial_grid(2, 8.0, 24, "uniform")),
+        (make_radial_grid(2, 8.0, 24, "uniform"), make_radial_grid(1, 5.0, 40, "uniform")),
+        (make_radial_grid(3, 8.0, 48, "equimeasure"), make_radial_grid(1, 6.0, 24, "equimeasure")),
+        (make_radial_grid(2, 8.0, 20, "equimeasure"), make_radial_grid(2, 4.0, 36, "equimeasure")),
+        (make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2), None),
+    ],
+)
+def test_preconditioner_matches_direct_solve(s_grid, t_grid):
+    # ns != nt on every cylinder, so a transposed eigenbasis cannot pass
+    g = CylGrid(s_grid, t_grid)
+    ns, nt = g.shape
+    energy = _StaggeredEnergy(g, 2.0, 0.0)
+    ms, mt = s_grid.cell_measures, g.t_measures
+    P = sp.kron(_stiffness_1d(ns, energy.inv_ds, ms), sp.diags(mt)) + sp.diags(g.cell_measures.ravel())
+    if t_grid is not None:
+        P = P + sp.kron(sp.diags(ms), _stiffness_1d(nt, energy.inv_dt, mt))
+    R = np.random.default_rng(3).standard_normal(g.shape)
+    expected = spsolve(P.tocsc(), R.ravel()).reshape(g.shape)
+    solve = _build_preconditioner(g, energy)
+    assert np.max(np.abs(solve(R) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the matrix is the p = 2 energy's Hessian plus the mass
+    _, grad = energy.value_and_gradient(R)
+    back = solve(0.5 * grad + g.cell_measures * R)
+    assert np.max(np.abs(back - R)) <= 1e-12 * np.max(np.abs(R))
 
 
 def test_symmetrize_and_compare_fixed_point():
