@@ -48,15 +48,11 @@ from .minimizer import (
     symmetrize_and_compare,
 )
 from .rearrange import (
-    LayerProfile,
     PolyaSzegoReport,
     decreasing_rearrangement_1d,
     double_star,
-    granularity_mismatch,
     hardy_littlewood_check,
     is_double_star_fixed,
-    layer_profile,
-    monotone_weight_constraint,
     polya_szego_check,
     schwarz_y,
     schwarz_z,

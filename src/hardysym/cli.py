@@ -6,11 +6,12 @@ CSV/JSON artifacts to --out, and prints a one-line summary: the target value,
 the achieved value and the relative gap, or for `minimize` the initial and
 final quotients.  Identical config and seed produce byte-identical artifacts.
 A subcommand declares only the flags it uses, and a config file may hold only
-the keys of its defaults.
+the keys of its defaults, each with a value of its default's type.
 
 Exit status: 0 on success, 2 on validation / degenerate-input errors (the
-message names the violated clause), unknown flags or unknown config keys,
-3 when `properties` finds a violation, 1 on I/O errors.
+message names the violated clause), unknown flags, unknown config keys,
+ill-typed config values or a negative refine level, 3 when `properties`
+finds a violation, 1 on I/O errors.
 """
 
 from __future__ import annotations
@@ -82,6 +83,23 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+def _check_config_value(key: str, value, default) -> None:
+    """Reject a config-file value that does not fit its default: an int for an
+    int, a number for a float, a string for a string, csv/json for format."""
+    if key == "format":
+        ok, want = value in ("csv", "json"), "csv or json"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    else:
+        return
+    if not ok:
+        raise ConfigurationError(f"config key {key} must be {want}, got {value!r}")
+
+
 def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if args.config:
@@ -97,11 +115,15 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ConfigurationError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value, defaults[key])
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:
             continue
         cfg[key] = value
+    if cfg.get("refine", 0) < 0:
+        raise ConfigurationError(f"refine must be >= 0, got {cfg['refine']}")
     return cfg
 
 

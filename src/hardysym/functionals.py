@@ -112,19 +112,12 @@ class QuotientReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _s_weight(grid: CylGrid, a: float) -> np.ndarray:
-    """Exact cell averages of |y|^a as an (ns, 1) column."""
-    if a + grid.k <= 0:
-        raise DomainError("weight |y|^a not integrable: a + k <= 0")
-    return grid.s_grid.weight_average(a)[:, None]
-
-
 def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
     """integral of u^p |y|^a over R^N, reduced to the grid."""
     if p <= 0:
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
-    return float(np.sum(values**p * _s_weight(grid, a) * grid.cell_measures))
+    return float(np.sum(values**p * grid.s_grid.weight_average(a)[:, None] * grid.cell_measures))
 
 
 def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) -> float:
@@ -138,7 +131,7 @@ def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) 
     values, grid = as_2d(u)
     density = StaggeredGradient(grid, wall).cell_squares(values)
     density **= p / 2.0
-    density *= _s_weight(grid, a) * grid.s_grid.cell_measures[:, None]
+    density *= grid.s_grid.weight_average(a)[:, None] * grid.s_grid.cell_measures[:, None]
     density *= grid.t_measures
     return float(np.sum(density))
 

@@ -87,10 +87,6 @@ class RadialGrid:
     def r_max(self) -> float:
         return float(self.edges[-1])
 
-    def power_integral(self, e: float) -> np.ndarray:
-        """Exact per-cell integral of r^e dr (closed form)."""
-        return _power_integral(self.edges, e)
-
     def weight_average(self, a: float) -> np.ndarray:
         """Exact cell average of r^a against the cell's r^(dim-1) measure.
 
@@ -100,7 +96,7 @@ class RadialGrid:
             return np.ones(self.n)
         if a + self.dim <= 0.0:
             raise DomainError(f"weight r^{a} not cell-integrable: a + dim <= 0")
-        return self.power_integral(a + self.dim - 1) / self.power_integral(self.dim - 1)
+        return _power_integral(self.edges, a + self.dim - 1) / _power_integral(self.edges, self.dim - 1)
 
     def descriptor(self) -> dict:
         return {
@@ -316,10 +312,6 @@ class GridFunction:
         if np.any(values < 0):
             raise DomainError("grid function values must be nonnegative")
         values.setflags(write=False)
-
-    @property
-    def is_cylindrical(self) -> bool:
-        return isinstance(self.grid, CylGrid)
 
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.grid, c * self.values)

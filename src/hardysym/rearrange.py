@@ -1,9 +1,11 @@
 """Double Schwarz symmetrization on weighted grids.
 
-Rearrangement keeps cell geometry fixed and reassigns values.  On
-equal-measure grids each pass is an exact descending sort; on weighted grids
-the sorted layer-cake profile is sampled at each cell's cumulative-measure
-start, which preserves superlevel-set measures up to single-cell granularity.
+Rearrangement keeps cell geometry fixed and reassigns values.  One routine,
+`_rearrange`, rearranges every slice of a 2-D array at once: on equal-measure
+cells each slice is an exact descending sort; on weighted cells the sorted
+layer-cake profile is sampled at each cell's cumulative-measure start, which
+preserves superlevel-set measures up to single-cell granularity.  The Schwarz
+passes in |y| and in |z| are that routine along each axis.
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ from .functionals import weighted_dirichlet
 from .grid import GridFunction, as_2d, integrate
 
 __all__ = [
-    "LayerProfile",
-    "layer_profile",
     "decreasing_rearrangement_1d",
-    "granularity_mismatch",
     "schwarz_y",
     "schwarz_z",
     "double_star",
@@ -28,112 +27,54 @@ __all__ = [
     "hardy_littlewood_check",
     "PolyaSzegoReport",
     "polya_szego_check",
-    "monotone_weight_constraint",
 ]
 
 
-@dataclass(frozen=True)
-class LayerProfile:
-    """Superlevel-set structure: mu({u > level}) per decreasing level."""
+def _rearrange(values: np.ndarray, measures: np.ndarray) -> np.ndarray:
+    """Weighted decreasing rearrangement of every column of `values` along axis 0.
 
-    thresholds: np.ndarray
-    superlevel_measures: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.thresholds) > 0):
-            raise UsageError("thresholds must be nonincreasing")
-        if np.any(np.diff(self.superlevel_measures) < 0):
-            raise UsageError("superlevel measures must be nondecreasing as level decreases")
-
-
-def layer_profile(values, measures) -> LayerProfile:
-    """Layer-cake profile of a cellwise function with cell measures."""
-    values = np.asarray(values, dtype=float).ravel()
-    measures = np.asarray(measures, dtype=float).ravel()
-    levels = np.unique(values)[::-1]
-    sup = np.array([measures[values > lvl].sum() for lvl in levels])
-    return LayerProfile(levels, sup)
-
-
-def _validate_1d(values: np.ndarray, measures: np.ndarray) -> None:
-    if values.shape != measures.shape:
+    `measures` are the cell measures along axis 0, cells ordered by
+    increasing radius.  Each column becomes the nonincreasing assignment
+    whose superlevel sets occupy initial segments of matching cumulative
+    measure, up to single-cell granularity; on equal measures this is
+    exactly the descending sort.  Ties keep input order.
+    """
+    if values.ndim != 2 or measures.shape != values.shape[:1]:
         raise UsageError("values and measures must have matching length")
-    if np.any(values < 0):
+    if not np.all(values >= 0):
         raise DomainError("rearrangement requires nonnegative values")
     if np.any(measures <= 0):
         raise ConfigurationError("zero or negative cell measures")
-
-
-def _equal_measures(measures: np.ndarray) -> bool:
-    return bool(np.all(np.abs(measures - measures[0]) <= 1e-9 * measures[0]))
+    if np.all(np.abs(measures - measures[0]) <= 1e-9 * measures[0]):
+        return -np.sort(-values, axis=0)
+    order = np.argsort(-values, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(values, order, axis=0)
+    sorted_cum = np.cumsum(measures[order], axis=0)
+    starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
+    idx = np.column_stack([np.searchsorted(cum, starts, side="right") for cum in sorted_cum.T])
+    return np.take_along_axis(sorted_vals, np.minimum(idx, len(measures) - 1), axis=0)
 
 
 def decreasing_rearrangement_1d(values, measures) -> np.ndarray:
-    """Weighted decreasing rearrangement of cell values along one radius.
-
-    Cells are assumed ordered by increasing radius.  Returns the nonincreasing
-    cell assignment whose superlevel sets occupy initial segments of matching
-    cumulative measure, up to single-cell granularity; on equal-measure cells
-    this is exactly the descending sort.  Ties keep input order.
-    """
+    """Weighted decreasing rearrangement of cell values along one radius,
+    cells ordered by increasing radius (see `_rearrange`)."""
     values = np.asarray(values, dtype=float)
     measures = np.asarray(measures, dtype=float)
-    _validate_1d(values, measures)
-    if _equal_measures(measures):
-        return np.sort(values)[::-1]
-    order = np.argsort(-values, kind="stable")
-    sorted_vals = values[order]
-    sorted_cum = np.cumsum(measures[order])
-    starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
-    idx = np.searchsorted(sorted_cum, starts, side="right")
-    idx = np.minimum(idx, len(sorted_vals) - 1)
-    return sorted_vals[idx]
-
-
-def granularity_mismatch(values, measures, rearranged=None) -> float:
-    """Largest superlevel-measure mismatch between input and its rearrangement."""
-    values = np.asarray(values, dtype=float)
-    measures = np.asarray(measures, dtype=float)
-    if rearranged is None:
-        rearranged = decreasing_rearrangement_1d(values, measures)
-    worst = 0.0
-    for lvl in np.unique(values):
-        mu_in = measures[values > lvl].sum()
-        mu_out = measures[rearranged > lvl].sum()
-        worst = max(worst, abs(mu_in - mu_out))
-    return worst
-
-
-def _wrap_like(u: GridFunction, values: np.ndarray) -> GridFunction:
-    return GridFunction(u.grid, values.reshape(u.values.shape))
+    return _rearrange(values[..., None], measures)[:, 0]
 
 
 def schwarz_y(u: GridFunction) -> GridFunction:
     """Slice-wise decreasing rearrangement in |y| for each fixed |z|."""
     values, grid = as_2d(u)
-    ms = grid.s_grid.cell_measures
-    if _equal_measures(ms):
-        out = -np.sort(-values, axis=0)
-    else:
-        out = np.empty_like(values)
-        for j in range(values.shape[1]):
-            out[:, j] = decreasing_rearrangement_1d(values[:, j], ms)
-    return _wrap_like(u, out)
+    out = _rearrange(values, grid.s_grid.cell_measures)
+    return GridFunction(u.grid, out.reshape(u.values.shape))
 
 
 def schwarz_z(u: GridFunction) -> GridFunction:
     """Slice-wise decreasing rearrangement in |z| for each fixed |y|."""
     values, grid = as_2d(u)
-    mt = grid.t_measures
-    if values.shape[1] == 1:
-        return u
-    if _equal_measures(mt):
-        out = -np.sort(-values, axis=1)
-    else:
-        out = np.empty_like(values)
-        for i in range(values.shape[0]):
-            out[i, :] = decreasing_rearrangement_1d(values[i, :], mt)
-    return _wrap_like(u, out)
+    out = _rearrange(values.T, grid.t_measures).T
+    return GridFunction(u.grid, out.reshape(u.values.shape))
 
 
 def double_star(u: GridFunction) -> GridFunction:
@@ -197,29 +138,3 @@ def polya_szego_check(u: GridFunction, p: float) -> PolyaSzegoReport:
     e_star = weighted_dirichlet(u_star, p, 0.0)
     e_dstar = weighted_dirichlet(schwarz_z(u_star), p, 0.0)
     return PolyaSzegoReport(e_plain, e_star, e_dstar)
-
-
-def _require_nonincreasing(profile: np.ndarray, name: str) -> None:
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(profile))))
-    if np.any(np.diff(profile) > tol):
-        raise DomainError(f"{name} must be nonincreasing")
-
-
-def monotone_weight_constraint(u: GridFunction, g, h, q: float):
-    """Both sides of int u^q g(|y|) h(|z|) <= int (u**)^q g h for nonincreasing g, h.
-
-    g(s) h(t) is its own double star, so the generalized Hardy-Littlewood
-    inequality applies with the same granularity contract.
-    """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    _require_nonincreasing(g, "g")
-    _require_nonincreasing(h, "h")
-    values, grid = as_2d(u)
-    if g.shape != (values.shape[0],) or h.shape != (values.shape[1],):
-        raise UsageError("g and h must match the grid's s and t cell counts")
-    weight = np.outer(g, h)
-    measures = grid.cell_measures
-    plain = float(np.sum(values**q * weight * measures))
-    symmetrized = float(np.sum(as_2d(double_star(u))[0] ** q * weight * measures))
-    return plain, symmetrized

@@ -136,6 +136,41 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("symmetrize", "n", "64"),
+        ("symmetrize", "n", 64.0),
+        ("minimize", "max_iter", True),
+        ("symmetrize", "beta", "1"),
+        ("constant", "p", None),
+        ("symmetrize", "format", "xml"),
+        ("constant", "out", 5),
+        ("product-sweep", "refine", -1),
+    ],
+)
+def test_ill_typed_config_value_rejected(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = run([command, "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["product-sweep", "symmetrize", "minimize"])
+def test_negative_refine_flag_rejected(tmp_path, capsys, command):
+    code = run([command, "--refine", "-1"], tmp_path)
+    assert code == 2
+    assert "refine" in capsys.readouterr().err
+
+
+def test_config_int_accepted_for_float_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 2, "alpha": -2, "k": 3}))
+    assert run(["constant", "--config", str(cfg)], tmp_path) == 0
+    assert capsys.readouterr().out.strip().splitlines()[0] == "4"
+
+
 def test_minimize_invalid_params(tmp_path, capsys):
     code = run(["minimize", "--beta", "3"], tmp_path)
     assert code == 2
