@@ -4,11 +4,12 @@ minimization problem.
 
 Modules:
     grid            radial and cylindrical grids, grid functions, the staggered
-                    edge gradient
+                    edge gradient with its energy, adjoint gradient, stiffness
     functionals     weighted norms, Dirichlet energies, Rayleigh quotients
     sharp_constant  closed-form constants and the sharpness test families
     rearrange       decreasing rearrangement and double Schwarz symmetrization
-    minimizer       projected descent on the constrained quotient
+    minimizer       projected descent on the constrained quotient, on the
+                    staggered energy
     cli             experiment runner (`hardysym` console script)
 """
 

@@ -10,8 +10,8 @@ the keys of its defaults, each with a value of its default's type.
 
 Exit status: 0 on success, 2 on validation / degenerate-input errors (the
 message names the violated clause), unknown flags, unknown config keys,
-ill-typed config values or a negative refine level, 3 when `properties`
-finds a violation, 1 on I/O errors.
+ill-typed config values or a negative count (refine, seed, trials,
+max_iter), 3 when `properties` finds a violation, 1 on I/O errors.
 """
 
 from __future__ import annotations
@@ -83,19 +83,29 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_config_value(key: str, value, default) -> None:
     """Reject a config-file value that does not fit its default: an int for an
-    int, a number for a float, a string for a string, csv/json for format."""
+    int, a number for a float, a string for a string, csv/json for format, and
+    lists of numbers or of [number, number] pairs for the ladders (or null)."""
+    if value is None and default is None:
+        return
     if key == "format":
         ok, want = value in ("csv", "json"), "csv or json"
+    elif key in ("lambda_scales", "eps_ladder"):
+        ok, want = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+    elif key == "ladder":
+        pairs = isinstance(value, list) and all(isinstance(x, list) and len(x) == 2 for x in value)
+        ok, want = pairs and all(_is_number(v) for x in value for v in x), "a list of [number, number] pairs"
     elif isinstance(default, int):
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
-        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    elif isinstance(default, str):
-        ok, want = isinstance(value, str), "a string"
+        ok, want = _is_number(value), "a number"
     else:
-        return
+        ok, want = isinstance(value, str), "a string"
     if not ok:
         raise ConfigurationError(f"config key {key} must be {want}, got {value!r}")
 
@@ -122,8 +132,9 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
         if key in ("config", "command") or value is None:
             continue
         cfg[key] = value
-    if cfg.get("refine", 0) < 0:
-        raise ConfigurationError(f"refine must be >= 0, got {cfg['refine']}")
+    for key in ("refine", "seed", "trials", "max_iter"):
+        if cfg.get(key, 0) < 0:
+            raise ConfigurationError(f"{key} must be >= 0, got {cfg[key]}")
     return cfg
 
 
@@ -152,12 +163,7 @@ def cmd_constant(cfg: dict) -> int:
 def cmd_eps_sweep(cfg: dict) -> int:
     params = Params.hardy(N=cfg["N"], k=cfg["N"], p=cfg["p"], alpha=cfg["alpha"])
     ladder = cfg.get("eps_ladder")
-    if ladder is None:
-        rows = eps_sweep(params)
-    else:
-        if len(ladder) == 0:
-            raise ConfigurationError("eps ladder must be non-empty")
-        rows = eps_sweep(params, eps_values=ladder)
+    rows = eps_sweep(params) if ladder is None else eps_sweep(params, eps_values=ladder)
     out = _out_dir(cfg)
     header = [
         "eps",
@@ -181,12 +187,9 @@ def cmd_product_sweep(cfg: dict) -> int:
     params = Params.hardy_sobolev(
         N=cfg["N"], k=cfg["k"], p=cfg["p"], beta=cfg["beta"]
     )
-    ladder = cfg.get("ladder")
-    if ladder is not None:
-        ladder = [tuple(point) for point in ladder]
     rows = hardy_endpoint_sweep(
         params,
-        ladder,
+        cfg.get("ladder"),
         n_s=_refined(cfg["n_s"], cfg),
         n_t=_refined(cfg["n_t"], cfg),
         log_r_max=cfg["log_r_max"],

@@ -129,11 +129,8 @@ def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) 
     if p <= 0:
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
-    density = StaggeredGradient(grid, wall).cell_squares(values)
-    density **= p / 2.0
-    density *= grid.s_grid.weight_average(a)[:, None] * grid.s_grid.cell_measures[:, None]
-    density *= grid.t_measures
-    return float(np.sum(density))
+    s_weight = grid.s_grid.weight_average(a) * grid.s_grid.cell_measures
+    return StaggeredGradient(grid, wall).energy(values, p, s_weight)
 
 
 def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:

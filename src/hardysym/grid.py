@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, DomainError, UsageError
 
@@ -347,8 +348,16 @@ def _inverse_spacings(grid: RadialGrid, wall: bool) -> np.ndarray:
     return 1.0 / gaps
 
 
+def _spread(cell: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of the two-edge cell average along `axis`: each edge receives
+    half the value of each cell it bounds."""
+    zero = np.zeros_like(np.take(cell, [0], axis=axis))
+    return 0.5 * (np.concatenate((cell, zero), axis) + np.concatenate((zero, cell), axis))
+
+
 class StaggeredGradient:
-    """The discrete gradient: forward differences on cell edges.
+    """The discrete gradient and the Dirichlet energy built on it: forward
+    differences on cell edges.
 
     Along each radius the edges are the origin edge, the interior edges
     between neighbouring cells, and an outer edge at r_max.  The origin edge
@@ -356,12 +365,15 @@ class StaggeredGradient:
     the last cell to the Dirichlet zero boundary; without it the outer edge
     carries zero gradient (natural end).  Squared edge gradients averaged onto
     the two edges of each cell give |grad u|^2 per cell.  Unlike centred
-    differences, this scheme has no oscillatory null mode.
+    differences, this scheme has no oscillatory null mode.  The energy's
+    gradient and p = 2 stiffness are adjoints of these differences and average.
     """
 
     def __init__(self, grid: CylGrid, wall: bool):
         if not wall and (grid.s_grid.n < 2 or (grid.t_grid is not None and grid.t_grid.n < 2)):
             raise UsageError("a natural-end gradient needs at least 2 cells along each radius")
+        self.grid = grid
+        self.t_measures = grid.t_measures
         self.wall = wall
         self.inv_ds = _inverse_spacings(grid.s_grid, wall)
         self.inv_dt = None if grid.t_grid is None else _inverse_spacings(grid.t_grid, wall)
@@ -399,13 +411,48 @@ class StaggeredGradient:
             g2 += half_t
         return g2
 
-    def cell_squares(self, values: np.ndarray) -> np.ndarray:
-        """|grad u|^2 per cell: each edge gradient is squared once, in place."""
+    def energy(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> float:
+        """sum of (|grad u|^2 + delta^2)^(p/2) * s_weight[i] * t_measures[j]
+        over the cells; each edge gradient is squared once, in place."""
         gs, gt = self.edges(values)
         np.square(gs, out=gs)
         if gt is not None:
             np.square(gt, out=gt)
-        return self.average(gs, gt)
+        density = self.average(gs, gt)
+        del gs, gt  # free the edge arrays before the 2-D weight is formed
+        if delta:
+            density += delta**2
+        density **= p / 2.0
+        density *= s_weight[:, None] * self.t_measures
+        return float(np.sum(density))
+
+    def energy_and_gradient(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0):
+        """The energy and its exact gradient with respect to the cell values."""
+        gs, gt = self.edges(values)
+        g2 = self.average(gs**2, None if gt is None else gt**2)
+        g2 += delta**2
+        weight = s_weight[:, None] * self.t_measures
+        phi = g2 ** (p / 2.0 - 1.0)
+        energy = float(np.sum(phi * g2 * weight))
+        psi = 0.5 * p * phi * weight
+        # chain rule back through the average, then the adjoint of the differences
+        flux_s = 2.0 * _spread(psi, 0) * gs
+        flux_s[1 : 1 + len(self.inv_ds)] *= self.inv_ds[:, None]
+        grad = flux_s[:-1] - flux_s[1:]
+        if gt is not None:
+            flux_t = 2.0 * _spread(psi, 1) * gt
+            flux_t[:, 1 : 1 + len(self.inv_dt)] *= self.inv_dt
+            grad += flux_t[:, :-1]
+            grad -= flux_t[:, 1:]
+        return energy, grad
+
+    def stiffness(self, axis: int) -> sp.csr_matrix:
+        """The 1-D p = 2 stiffness D^T diag(k) D along s (axis 0) or t (axis 1):
+        D the edge differences, k the cell measures spread to the edges."""
+        radial, inv_d = (self.grid.s_grid, self.inv_ds) if axis == 0 else (self.grid.t_grid, self.inv_dt)
+        n = radial.n  # D[i, i] = inv_d[i - 1] and D[i + 1, i] = -inv_d[i] on the interior and wall edges
+        D = sp.diags([-np.append(inv_d, 0.0)[:n], np.append(0.0, inv_d)[:n]], [-1, 0], shape=(n + 1, n))
+        return (D.T @ sp.diags(_spread(radial.cell_measures, 0)) @ D).tocsr()
 
 
 def grid_function_to_csv(u: GridFunction, path) -> None:

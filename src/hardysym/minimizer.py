@@ -78,48 +78,6 @@ class MinimizationTrace:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-class _StaggeredEnergy(StaggeredGradient):
-    """Discrete Dirichlet p-energy with the Dirichlet wall edge at r_max.
-
-    The squared edge gradients of StaggeredGradient are averaged onto cells
-    before taking the p/2 power; the gradient is its exact adjoint.
-    delta regularizes |grad u|^(p-2) at zero gradient for p != 2.
-    """
-
-    def __init__(self, grid: CylGrid, p: float, delta: float):
-        super().__init__(grid, wall=True)
-        self.p = p
-        self.delta = delta
-        self.W = np.outer(grid.s_grid.cell_measures, grid.t_measures)
-
-    def value(self, U) -> float:
-        g2 = self.cell_squares(U)
-        return float(np.sum((g2 + self.delta**2) ** (self.p / 2.0) * self.W))
-
-    def value_and_gradient(self, U):
-        gs, gt = self.edges(U)
-        g2 = self.average(gs**2, None if gt is None else gt**2)
-        phi = (g2 + self.delta**2) ** (self.p / 2.0 - 1.0)
-        energy = float(np.sum(phi * (g2 + self.delta**2) * self.W))
-        psi = 0.5 * self.p * phi * self.W
-        ns, nt = U.shape
-        # edge coefficients: half the psi of each adjacent cell
-        ks = np.zeros_like(gs)
-        ks[1:ns] = 0.5 * (psi[:-1] + psi[1:])
-        ks[ns] = 0.5 * psi[-1]
-        Fs = 2.0 * ks * gs
-        Fs[1:] *= self.inv_ds[:, None]
-        grad = Fs[:-1] - Fs[1:]
-        if gt is not None:
-            kt = np.zeros_like(gt)
-            kt[:, 1:nt] = 0.5 * (psi[:, :-1] + psi[:, 1:])
-            kt[:, nt] = 0.5 * psi[:, -1]
-            Ft = 2.0 * kt * gt
-            Ft[:, 1:] *= self.inv_dt[None, :]
-            grad = grad + Ft[:, :-1] - Ft[:, 1:]
-        return energy, grad
-
-
 def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFunction:
     """Centered product bump exp(-s^2 - t^2); "random" adds seeded smooth
     positive perturbations of it."""
@@ -149,13 +107,6 @@ def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFuncti
     return GridFunction(grid, values)
 
 
-def _stiffness_1d(n: int, inv_d: np.ndarray, measures: np.ndarray) -> sp.csr_matrix:
-    """1D edge-difference stiffness with zero-flux origin and Dirichlet wall."""
-    D = sp.diags([-inv_d, np.concatenate(([0.0], inv_d[:-1]))], [-1, 0], shape=(n + 1, n))
-    we = np.concatenate((np.zeros(1), 0.5 * (measures[:-1] + measures[1:]), [0.5 * measures[-1]]))
-    return (D.T @ sp.diags(we) @ D).tocsr()
-
-
 def _generalized_eigh(A: sp.csr_matrix, measures: np.ndarray):
     """Eigenpairs of the pencil (A, M), M = diag(measures): V.T A V = diag(lam), V.T M V = I."""
     h = 1.0 / np.sqrt(measures)
@@ -163,7 +114,7 @@ def _generalized_eigh(A: sp.csr_matrix, measures: np.ndarray):
     return lam, h[:, None] * Q
 
 
-def _build_preconditioner(grid: CylGrid, energy: _StaggeredEnergy):
+def _build_preconditioner(grid: CylGrid, gradient: StaggeredGradient):
     """H1-type preconditioner As⊗Mt + Ms⊗At + Ms⊗Mt: staggered stiffness
     (p = 2 coefficients) plus the diagonal cell-measure mass.
 
@@ -175,15 +126,14 @@ def _build_preconditioner(grid: CylGrid, energy: _StaggeredEnergy):
     radial grid (m = 0, where ns can be thousands) gets a sparse LU of the
     tridiagonal matrix.
     """
-    ns, nt = grid.shape
     ms = grid.s_grid.cell_measures
     mt = grid.t_measures
-    As = _stiffness_1d(ns, energy.inv_ds, ms)
-    if energy.inv_dt is None:
+    As = gradient.stiffness(0)
+    if grid.t_grid is None:
         lu = splu((sp.kron(As, sp.diags(mt)) + sp.diags(np.outer(ms, mt).ravel())).tocsc())
         return lambda R: lu.solve(R.ravel()).reshape(R.shape)
     lam_s, Vs = _generalized_eigh(As, ms)
-    lam_t, Vt = _generalized_eigh(_stiffness_1d(nt, energy.inv_dt, mt), mt)
+    lam_t, Vt = _generalized_eigh(gradient.stiffness(1), mt)
     denom = lam_s[:, None] + lam_t[None, :] + 1.0
     return lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T
 
@@ -196,13 +146,13 @@ def minimize_hs(
 ) -> MinimizationTrace:
     """Projected descent for S = inf { int |grad u|^p : int |u|^q / |y|^beta = 1 }.
 
-    The Dirichlet energy is discretized on staggered edges (see
-    _StaggeredEnergy), with the zero boundary at r_max built into the wall
-    edges.  Each step moves against the constrained energy gradient,
-    preconditioned by an H1 solve, re-imposes nonnegativity, and rescales
-    back onto the constraint set.  A step is accepted only if the quotient
-    does not increase; backtracking halves the step size.  Convergence is
-    declared on relative quotient stagnation.
+    The Dirichlet energy is that of StaggeredGradient, with the zero
+    boundary at r_max built into the wall edges.  Each step moves against
+    the constrained energy gradient, preconditioned by an H1 solve,
+    re-imposes nonnegativity, and rescales back onto the constraint set.  A
+    step is accepted only if the quotient does not increase; backtracking
+    halves the step size.  Convergence is declared on relative quotient
+    stagnation.
     """
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
@@ -222,8 +172,8 @@ def minimize_hs(
 
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
-    energy_fn = _StaggeredEnergy(grid, p, delta)
-    solve = _build_preconditioner(grid, energy_fn)
+    gradient = StaggeredGradient(grid, wall=True)
+    solve = _build_preconditioner(grid, gradient)
     trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
 
     def constraint(V):
@@ -239,14 +189,14 @@ def minimize_hs(
             raise DegenerateInputError("cannot project: constraint integral is zero")
         V = V * c ** (-1.0 / q)
         c = constraint(V)
-        e = energy_fn.value(V)
+        e = gradient.energy(V, p, grid.s_grid.cell_measures, delta)
         return V, c, e, e / c ** (p / q)
 
     U, c, energy, quotient = evaluate(np.clip(u0.values, 0.0, None))
     history = [(energy, c, quotient, 0.0)]
     tau = opts.tau0
     for _ in range(opts.max_iter):
-        energy, grad_e = energy_fn.value_and_gradient(U)
+        energy, grad_e = gradient.energy_and_gradient(U, p, grid.s_grid.cell_measures, delta)
         theta = p * energy / (q * c)
         grad_c = q * U ** (q - 1.0) * Wbeta
         search = solve(grad_e - theta * grad_c)

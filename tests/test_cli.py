@@ -147,6 +147,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
         ("symmetrize", "format", "xml"),
         ("constant", "out", 5),
         ("product-sweep", "refine", -1),
+        ("split-demo", "lambda_scales", 5),
+        ("split-demo", "lambda_scales", ["a"]),
+        ("product-sweep", "ladder", [[1]]),
+        ("product-sweep", "ladder", 3),
+        ("eps-sweep", "eps_ladder", "x"),
+        ("eps-sweep", "eps_ladder", [0.1, "a"]),
     ],
 )
 def test_ill_typed_config_value_rejected(tmp_path, capsys, command, key, value):
@@ -162,6 +168,22 @@ def test_negative_refine_flag_rejected(tmp_path, capsys, command):
     code = run([command, "--refine", "-1"], tmp_path)
     assert code == 2
     assert "refine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["symmetrize", "--seed", "-1"], "seed"),
+        (["minimize", "--seed", "-1"], "seed"),
+        (["properties", "--seed", "-1"], "seed"),
+        (["properties", "--trials", "-1"], "trials"),
+        (["minimize", "--max-iter", "-1"], "max_iter"),
+    ],
+)
+def test_negative_count_flag_rejected(tmp_path, capsys, args, key):
+    code = run(args, tmp_path)
+    assert code == 2
+    assert key in capsys.readouterr().err
 
 
 def test_config_int_accepted_for_float_key(tmp_path, capsys):

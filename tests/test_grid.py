@@ -17,6 +17,7 @@ from hardysym import (
     sphere_area,
     weighted_dirichlet,
 )
+from hardysym.grid import StaggeredGradient
 
 GRADINGS = [
     ("uniform", {}),
@@ -175,6 +176,34 @@ def test_dirichlet_cylindrical_linear_profile():
     wt[:, [0, -1]] = 0.5
     exact = float(np.sum((ws + 4 * wt) * g.cell_measures))
     assert weighted_dirichlet(u, 2.0, 0.0) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "grid, wall",
+    [
+        (CylGrid(make_radial_grid(2, 6.0, 24, "uniform"), make_radial_grid(2, 4.0, 40, "uniform")), True),
+        (CylGrid(make_radial_grid(2, 6.0, 24, "uniform"), make_radial_grid(2, 4.0, 40, "uniform")), False),
+        (CylGrid(make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2)), True),
+    ],
+)
+def test_energy_gradient_is_exact_adjoint(grid, wall):
+    # the minimizer's descent direction is only as good as this gradient,
+    # including at p != 2 where the delta regularization enters
+    rng = np.random.default_rng(7)
+    s = grid.s_nodes[:, None]
+    t = grid.t_nodes[None, :]
+    U = np.exp(-(s**2) / 9.0 - t**2 / 4.0) * (1.0 + 0.1 * rng.uniform(size=grid.shape))
+    V = rng.standard_normal(grid.shape)
+    gradient = StaggeredGradient(grid, wall)
+    s_weight = grid.s_grid.weight_average(1.0) * grid.s_grid.cell_measures
+    for p, delta in ((3.0, 1e-3), (2.0, 0.0)):
+        energy, grad = gradient.energy_and_gradient(U, p, s_weight, delta)
+        assert energy == pytest.approx(gradient.energy(U, p, s_weight, delta), rel=1e-14)
+        h = 1e-5
+        slope = (gradient.energy(U + h * V, p, s_weight, delta) - gradient.energy(U - h * V, p, s_weight, delta)) / (2 * h)
+        assert slope == pytest.approx(float(np.sum(grad * V)), rel=1e-6)
+        if p == 2.0:
+            assert energy == pytest.approx(0.5 * float(np.sum(grad * U)), rel=1e-12)
 
 
 def test_dirichlet_single_cell_errors():

@@ -21,8 +21,10 @@ from hardysym import (
     make_radial_grid,
     minimize_hs,
     symmetrize_and_compare,
+    weighted_dirichlet,
 )
-from hardysym.minimizer import _build_preconditioner, _StaggeredEnergy, _stiffness_1d
+from hardysym.grid import StaggeredGradient
+from hardysym.minimizer import _build_preconditioner
 
 HS_PARAMS = Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
 
@@ -103,10 +105,16 @@ def test_self_consistency_across_seeds():
 
 
 def test_minimizer_and_hs_quotient_share_the_energy():
-    # the minimizer's energy differs from hs_quotient's only by the wall edge
+    # the minimizer's energy is weighted_dirichlet with the wall edge, and
+    # differs from hs_quotient's only by that edge
     for n in (32, 64):
         tr = minimize_hs(HS_PARAMS, hs_grid(n))
+        assert tr.energies[-1] == weighted_dirichlet(tr.final_u, 2.0, 0.0, wall=True)
         assert hs_quotient(tr.final_u, HS_PARAMS).value == pytest.approx(tr.quotients[-1], rel=1e-3)
+    params = Params.hardy_sobolev(N=3, k=3, p=2, beta=1)
+    g = CylGrid(make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2))
+    tr = minimize_hs(params, g, opts=DescentOptions(max_iter=200))
+    assert tr.energies[-1] == weighted_dirichlet(tr.final_u, 2.0, 0.0, wall=True)
 
 
 def test_symmetry_deviation_is_that_of_the_final_iterate():
@@ -165,18 +173,17 @@ def test_initializer_on_another_grid_rejected():
 def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     # ns != nt on every cylinder, so a transposed eigenbasis cannot pass
     g = CylGrid(s_grid, t_grid)
-    ns, nt = g.shape
-    energy = _StaggeredEnergy(g, 2.0, 0.0)
+    gradient = StaggeredGradient(g, wall=True)
     ms, mt = s_grid.cell_measures, g.t_measures
-    P = sp.kron(_stiffness_1d(ns, energy.inv_ds, ms), sp.diags(mt)) + sp.diags(g.cell_measures.ravel())
+    P = sp.kron(gradient.stiffness(0), sp.diags(mt)) + sp.diags(g.cell_measures.ravel())
     if t_grid is not None:
-        P = P + sp.kron(sp.diags(ms), _stiffness_1d(nt, energy.inv_dt, mt))
+        P = P + sp.kron(sp.diags(ms), gradient.stiffness(1))
     R = np.random.default_rng(3).standard_normal(g.shape)
     expected = spsolve(P.tocsc(), R.ravel()).reshape(g.shape)
-    solve = _build_preconditioner(g, energy)
+    solve = _build_preconditioner(g, gradient)
     assert np.max(np.abs(solve(R) - expected)) <= 1e-12 * np.max(np.abs(expected))
     # the matrix is the p = 2 energy's Hessian plus the mass
-    _, grad = energy.value_and_gradient(R)
+    _, grad = gradient.energy_and_gradient(R, 2.0, ms)
     back = solve(0.5 * grad + g.cell_measures * R)
     assert np.max(np.abs(back - R)) <= 1e-12 * np.max(np.abs(R))
 
