@@ -5,8 +5,9 @@ file, then command-line flags, flags winning), runs one experiment, writes
 CSV/JSON artifacts to --out, and prints a one-line summary: the target value,
 the achieved value and the relative gap, or for `minimize` the initial and
 final quotients.  Identical config and seed produce byte-identical artifacts.
-A subcommand declares only the flags it uses, and a config file may hold only
-the keys of its defaults, each with a value of its default's type.
+DEFAULTS declares each subcommand's settings once: every scalar setting is a
+flag (`--max-iter` sets max_iter), the list settings are config-only, and a
+config file may hold only those keys, each with a value of its default's type.
 
 Exit status: 0 on success, 2 on validation / degenerate-input errors (the
 message names the violated clause), unknown flags, unknown config keys,
@@ -47,6 +48,7 @@ from .sharp_constant import (
 )
 
 SCHEMA_VERSION = 1
+FORMATS = ("csv", "json")
 
 
 def _fmt(x) -> str:
@@ -94,7 +96,7 @@ def _check_config_value(key: str, value, default) -> None:
     if value is None and default is None:
         return
     if key == "format":
-        ok, want = value in ("csv", "json"), "csv or json"
+        ok, want = value in FORMATS, " or ".join(FORMATS)
     elif key in ("lambda_scales", "eps_ladder"):
         ok, want = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
     elif key == "ladder":
@@ -152,6 +154,7 @@ def _summary(name: str, target: float, achieved: float) -> None:
 
 
 def cmd_constant(cfg: dict) -> int:
+    """Sharp constant p^p/(alpha+k)^p; CSV columns p, alpha, k, constant."""
     value = hardy_constant(cfg["p"], cfg["alpha"], cfg["k"])
     out = _out_dir(cfg)
     row = {"p": float(cfg["p"]), "alpha": float(cfg["alpha"]), "k": int(cfg["k"]), "constant": value}
@@ -161,6 +164,9 @@ def cmd_constant(cfg: dict) -> int:
 
 
 def cmd_eps_sweep(cfg: dict) -> int:
+    """Radial sharpness family vs its closed form; CSV columns eps, numerator,
+    denominator, quotient, closed_form, rel_err, tail_correction_num,
+    tail_correction_den."""
     params = Params.hardy(N=cfg["N"], k=cfg["N"], p=cfg["p"], alpha=cfg["alpha"])
     ladder = cfg.get("eps_ladder")
     rows = eps_sweep(params) if ladder is None else eps_sweep(params, eps_values=ladder)
@@ -184,6 +190,8 @@ def cmd_eps_sweep(cfg: dict) -> int:
 
 
 def cmd_product_sweep(cfg: dict) -> int:
+    """Endpoint (beta=p) product-family ladder; CSV columns eps, lambda,
+    numerator, denominator, quotient, target, rel_gap."""
     params = Params.hardy_sobolev(
         N=cfg["N"], k=cfg["k"], p=cfg["p"], beta=cfg["beta"]
     )
@@ -211,6 +219,7 @@ def _hs_grid(cfg: dict) -> CylGrid:
 
 
 def cmd_symmetrize(cfg: dict) -> int:
+    """Quotient before/after double symmetrization."""
     params = Params.hardy_sobolev(N=cfg["N"], k=cfg["k"], p=cfg["p"], beta=cfg["beta"])
     grid = _hs_grid(cfg)
     u = default_init(grid, "random", seed=cfg["seed"])
@@ -222,6 +231,7 @@ def cmd_symmetrize(cfg: dict) -> int:
 
 
 def cmd_minimize(cfg: dict) -> int:
+    """Projected descent on the constrained quotient; writes trace JSON + final CSV."""
     params = Params.hardy_sobolev(N=cfg["N"], k=cfg["k"], p=cfg["p"], beta=cfg["beta"])
     grid = _hs_grid(cfg)
     opts = DescentOptions(max_iter=cfg["max_iter"], seed=cfg["seed"])
@@ -236,6 +246,7 @@ def cmd_minimize(cfg: dict) -> int:
 
 
 def cmd_split_demo(cfg: dict) -> int:
+    """Product-domain infimum splitting vs 1D eigenvalue oracle."""
     result = split_infimum_demo(
         p=cfg["p"],
         omega_width=cfg["omega_width"],
@@ -249,7 +260,7 @@ def cmd_split_demo(cfg: dict) -> int:
 
 
 def cmd_properties(cfg: dict) -> int:
-    """Fast randomized self-checks of the rearrangement and convexity layers."""
+    """Randomized rearrangement/convexity self-checks."""
     rng = np.random.default_rng(cfg["seed"])
     n_trials = cfg["trials"]
     results = {}
@@ -332,66 +343,24 @@ HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per entry of DEFAULTS, helped by its handler's docstring,
+    with --config and a flag for each scalar setting, typed by its default."""
     parser = argparse.ArgumentParser(
         prog="hardysym",
         description="Hardy-inequality sharp-constant and symmetrization workbench",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, help):
-        """Subparser with --config and --out, plus whichever of --seed,
-        --format and --refine the subcommand's defaults hold."""
-        p = sub.add_parser(name, help=help)
+    for name, defaults in DEFAULTS.items():
+        doc = HANDLERS[name].__doc__
+        p = sub.add_parser(name, help=doc, description=doc)
         p.add_argument("--config", type=str, help="JSON config file (flags override it)")
-        p.add_argument("--out", type=str, help="output directory (must exist)")
-        if "seed" in DEFAULTS[name]:
-            p.add_argument("--seed", type=int, help="random seed")
-        if "format" in DEFAULTS[name]:
-            p.add_argument("--format", choices=("csv", "json"), help="artifact format")
-        if "refine" in DEFAULTS[name]:
-            p.add_argument("--refine", type=int, help="grid-doubling level")
-        return p
-
-    def hs_flags(p):
-        for flag, kind in (("--N", int), ("--k", int), ("--p", float), ("--beta", float)):
-            p.add_argument(flag, type=kind)
-
-    p = subcommand("constant", "sharp constant p^p/(alpha+k)^p; CSV columns p,alpha,k,constant")
-    p.add_argument("--p", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=int)
-
-    p = subcommand(
-        "eps-sweep",
-        "radial sharpness family vs closed form; CSV columns eps,numerator,denominator,quotient,closed_form,rel_err,tail_correction_num,tail_correction_den",
-    )
-    p.add_argument("--N", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--alpha", type=float)
-
-    p = subcommand(
-        "product-sweep",
-        "endpoint (beta=p) product-family ladder; CSV columns eps,lambda,numerator,denominator,quotient,target,rel_gap",
-    )
-    hs_flags(p)
-
-    p = subcommand("symmetrize", "quotient before/after double symmetrization")
-    hs_flags(p)
-    p.add_argument("--n", type=int)
-
-    p = subcommand("minimize", "projected descent on the constrained quotient; writes trace JSON + final CSV")
-    hs_flags(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p = subcommand("split-demo", "product-domain infimum splitting vs 1D eigenvalue oracle")
-    p.add_argument("--p", type=float)
-    p.add_argument("--omega-width", dest="omega_width", type=float)
-
-    p = subcommand("properties", "randomized rearrangement/convexity self-checks")
-    p.add_argument("--trials", type=int)
-
+        for key, default in defaults.items():
+            if default is None or isinstance(default, list):
+                continue  # ladders are config-only
+            flag = "--" + key.replace("_", "-")
+            choices = FORMATS if key == "format" else None
+            p.add_argument(flag, dest=key, type=type(default), choices=choices, help=f"default {default!r}")
     return parser
 
 

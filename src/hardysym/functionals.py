@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -90,26 +89,12 @@ class QuotientReport:
     numerator: float
     denominator: float
     value: float
-    grid: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.denominator <= 0:
             raise DegenerateInputError("quotient denominator must be positive")
         if abs(self.value - self.numerator / self.denominator) > 8 * np.finfo(float).eps * abs(self.value):
             raise UsageError("QuotientReport: value != numerator / denominator")
-
-    def to_dict(self) -> dict:
-        return {
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "value": self.value,
-            "grid": self.grid,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
@@ -142,7 +127,7 @@ def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:
     den = weighted_p_norm(u, params.p, params.alpha)
     if den <= 0:
         raise DegenerateInputError("hardy_quotient: zero denominator")
-    return QuotientReport(num, den, num / den, grid=u.grid.descriptor())
+    return QuotientReport(num, den, num / den)
 
 
 def hs_constraint(u: GridFunction, params: Params) -> float:
@@ -160,4 +145,4 @@ def hs_quotient(u: GridFunction, params: Params) -> QuotientReport:
         raise DegenerateInputError("hs_quotient: zero constraint integral")
     num = weighted_dirichlet(u, params.p, 0.0)
     den = c ** (params.p / params.q)
-    return QuotientReport(num, den, num / den, grid=u.grid.descriptor(), notes={"constraint": c})
+    return QuotientReport(num, den, num / den)

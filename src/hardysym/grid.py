@@ -426,15 +426,12 @@ class StaggeredGradient:
         density *= s_weight[:, None] * self.t_measures
         return float(np.sum(density))
 
-    def energy_and_gradient(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0):
-        """The energy and its exact gradient with respect to the cell values."""
+    def gradient(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> np.ndarray:
+        """The exact gradient of `energy` with respect to the cell values."""
         gs, gt = self.edges(values)
         g2 = self.average(gs**2, None if gt is None else gt**2)
         g2 += delta**2
-        weight = s_weight[:, None] * self.t_measures
-        phi = g2 ** (p / 2.0 - 1.0)
-        energy = float(np.sum(phi * g2 * weight))
-        psi = 0.5 * p * phi * weight
+        psi = 0.5 * p * g2 ** (p / 2.0 - 1.0) * (s_weight[:, None] * self.t_measures)
         # chain rule back through the average, then the adjoint of the differences
         flux_s = 2.0 * _spread(psi, 0) * gs
         flux_s[1 : 1 + len(self.inv_ds)] *= self.inv_ds[:, None]
@@ -444,7 +441,7 @@ class StaggeredGradient:
             flux_t[:, 1 : 1 + len(self.inv_dt)] *= self.inv_dt
             grad += flux_t[:, :-1]
             grad -= flux_t[:, 1:]
-        return energy, grad
+        return grad
 
     def stiffness(self, axis: int) -> sp.csr_matrix:
         """The 1-D p = 2 stiffness D^T diag(k) D along s (axis 0) or t (axis 1):

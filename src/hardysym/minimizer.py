@@ -36,9 +36,9 @@ DELTA_SCALE = 1e-8  # p-Laplacian regularization for p != 2, relative to grid di
 class DescentOptions:
     max_iter: int = 2000
     tol: float = 1e-10
-    tau0: float = 1.0
-    max_halvings: int = 40
     seed: int = 0
+    tau0 = 1.0  # first step: a class constant, not a field
+    max_halvings = 40  # line-search budget: a class constant, not a field
 
 
 @dataclass
@@ -196,7 +196,7 @@ def minimize_hs(
     history = [(energy, c, quotient, 0.0)]
     tau = opts.tau0
     for _ in range(opts.max_iter):
-        energy, grad_e = gradient.energy_and_gradient(U, p, grid.s_grid.cell_measures, delta)
+        grad_e = gradient.gradient(U, p, grid.s_grid.cell_measures, delta)
         theta = p * energy / (q * c)
         grad_c = q * U ** (q - 1.0) * Wbeta
         search = solve(grad_e - theta * grad_c)
@@ -269,16 +269,15 @@ def hardy_endpoint_sweep(
     n_s: int = 4096,
     n_t: int = 512,
     log_r_max: float = 100.0,
-    first_width: float = 1e-3,
-    n_w: int = 1024,
 ) -> list:
     """Quotient ladder at the Hardy endpoint beta = p (so q = p).
 
     Along the product family (truncated plateau family in y, spreading bump
     in z) the quotient decreases monotonically toward ((k - p)/p)^p.  The
     plateau family needs exponentially many e-folds in eps, so the y-grid is
-    geometric out to r_max = exp(log_r_max) and the spreading scales are
-    proportional to r_max.
+    geometric, with an origin cell of width 1e-3, out to r_max =
+    exp(log_r_max), and the spreading scales are proportional to r_max.  The
+    bump is sampled on 1024 cells of [0, 1].
     """
     if params.beta is None or abs(params.beta - params.p) > 1e-12:
         raise DomainError("endpoint sweep requires beta = p (so q = p)")
@@ -290,7 +289,6 @@ def hardy_endpoint_sweep(
     R = math.exp(log_r_max)
     target = ((k - p) / p) ** p
 
-    s_grid = make_radial_grid(k, R, n_s, "geometric", first_width=first_width)
     if ladder is None:
         ladder = [
             (0.1, R / 16.0),
@@ -301,11 +299,14 @@ def hardy_endpoint_sweep(
         ]
     if len(ladder) == 0:
         raise ConfigurationError("ladder must be non-empty")
+    if min(min(pair) for pair in ladder) <= 0:
+        raise ConfigurationError(f"ladder (eps, lambda) pairs must be positive, got {ladder}")
+    s_grid = make_radial_grid(k, R, n_s, "geometric", first_width=1e-3)
     lam_max = max(lam for _, lam in ladder)
     t_grid = make_radial_grid(m, 1.05 * lam_max, n_t, "uniform")
     grid = CylGrid(s_grid, t_grid)
 
-    w_grid = make_radial_grid(m, 1.0, n_w, "uniform")
+    w_grid = make_radial_grid(m, 1.0, 1024, "uniform")
     x = w_grid.nodes
     w = GridFunction(w_grid, (1.0 - np.minimum(x * x, 1.0)) ** 2)
 

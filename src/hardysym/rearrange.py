@@ -86,12 +86,13 @@ def double_star(u: GridFunction) -> GridFunction:
     return schwarz_z(schwarz_y(u))
 
 
-def is_double_star_fixed(u: GridFunction, rtol: float = 1e-12) -> bool:
+def is_double_star_fixed(u: GridFunction) -> bool:
+    """Whether double_star moves u by at most 1e-12 of its maximum."""
     fixed = double_star(u)
     scale = float(u.values.max()) if u.values.size else 0.0
     if scale == 0.0:
         return True
-    return bool(np.max(np.abs(fixed.values - u.values)) <= rtol * scale)
+    return bool(np.max(np.abs(fixed.values - u.values)) <= 1e-12 * scale)
 
 
 def hardy_littlewood_check(u: GridFunction, v: GridFunction):

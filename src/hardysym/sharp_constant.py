@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -127,20 +127,16 @@ def tail_correction(tail: PowerTail, grid: RadialGrid, p: float, a: float) -> fl
 def eps_sweep(
     params: Params,
     eps_values: Sequence[float] = (1.0, 0.5, 0.1, 0.05, 0.01, 1e-3),
-    grid: Optional[RadialGrid] = None,
-    tail: bool = True,
 ) -> list:
     """Evaluate the Hardy quotient of the plateau family across an eps ladder.
 
-    Returns one row per eps with grid quadrature, analytic tail corrections,
-    and the closed-form value for comparison.
+    Returns one row per eps with quadrature on a split grid of 4096 cells
+    out to r = 1000, analytic tail corrections beyond it, and the
+    closed-form value for comparison.
     """
     if len(eps_values) == 0:
         raise ConfigurationError("eps ladder must be non-empty")
-    if grid is None:
-        grid = make_radial_grid(params.N, 1e3, 4096, "split", r_break=1.0)
-    if grid.dim != params.N:
-        raise ConfigurationError("grid dimension must equal N for the radial family")
+    grid = make_radial_grid(params.N, 1e3, 4096, "split", r_break=1.0)
     p, alpha = params.p, params.alpha
     rows = []
     for eps in sorted(eps_values, reverse=True):
@@ -148,10 +144,8 @@ def eps_sweep(
         g = _decay_exponent(p, alpha, params.N, eps)
         num = weighted_dirichlet(u, p, alpha + p)
         den = weighted_p_norm(u, p, alpha)
-        tail_num = tail_den = 0.0
-        if tail:
-            tail_num = tail_correction(PowerTail(g, -g - 1.0), grid, p, alpha + p)
-            tail_den = tail_correction(PowerTail(1.0, -g), grid, p, alpha)
+        tail_num = tail_correction(PowerTail(g, -g - 1.0), grid, p, alpha + p)
+        tail_den = tail_correction(PowerTail(1.0, -g), grid, p, alpha)
         quotient = (num + tail_num) / (den + tail_den)
         closed = eps_quotient_closed_form(eps, p, alpha, params.N)
         rows.append(
@@ -235,28 +229,28 @@ def split_infimum_demo(
     p: float = 2.0,
     omega_width: float = 1.0,
     lambda_scales: Sequence[float] = (1.0, 4.0, 16.0, 64.0),
-    n_omega: int = 512,
-    n_t: int = 2048,
 ) -> dict:
     """Product-domain splitting: the quotient of v(x1) * w(x2 / lambda) on
     Omega x R approaches the Omega-only infimum as lambda grows.
 
     Omega = (0, omega_width) is folded about its midpoint onto a d = 1 radial
-    grid of n_omega / 2 cells on [0, omega_width / 2], so the cells have the
-    spacing of the n_omega-interval oracle `dirichlet_eigenvalue_interval`.
-    v(r) = cos(pi r / omega_width) is the first Dirichlet eigenfunction and w
-    a fixed even bump; the energy has the Dirichlet wall edge at the outer end
-    of both radii.  Returns per-lambda quotients plus the discrete Omega-only infimum.
+    grid of 256 cells on [0, omega_width / 2], so the cells have the spacing
+    of the 512-interval oracle `dirichlet_eigenvalue_interval`; the x2-grid
+    has 2048 cells out to 1.05 max(lambda).  v(r) = cos(pi r / omega_width)
+    is the first Dirichlet eigenfunction and w a fixed even bump; the energy
+    has the Dirichlet wall edge at the outer end of both radii.  Returns
+    per-lambda quotients plus the discrete Omega-only infimum.
     """
     if len(lambda_scales) == 0:
         raise ConfigurationError("lambda ladder must be non-empty")
+    if min(lambda_scales) <= 0:
+        raise ConfigurationError(f"lambda_scales must be positive, got {lambda_scales}")
     if omega_width <= 0:
         raise ConfigurationError("omega_width must be positive")
-    omega_infimum = dirichlet_eigenvalue_interval(omega_width, n_omega)
-    lam_max = max(lambda_scales)
+    omega_infimum = dirichlet_eigenvalue_interval(omega_width, 512)
     grid = CylGrid(
-        make_radial_grid(1, omega_width / 2.0, n_omega // 2, "uniform"),
-        make_radial_grid(1, 1.05 * lam_max, n_t, "uniform"),
+        make_radial_grid(1, omega_width / 2.0, 256, "uniform"),
+        make_radial_grid(1, 1.05 * max(lambda_scales), 2048, "uniform"),
     )
     v = np.cos(math.pi * grid.s_nodes / omega_width)
     rows = []

@@ -2,7 +2,20 @@ import json
 
 import pytest
 
-from hardysym.cli import main
+from hardysym.cli import DEFAULTS, build_parser, main
+
+SCALAR_SETTINGS = [
+    (command, key, default)
+    for command, defaults in DEFAULTS.items()
+    for key, default in defaults.items()
+    if default is not None and not isinstance(default, list)
+]
+LIST_SETTINGS = [
+    (command, key)
+    for command, defaults in DEFAULTS.items()
+    for key, default in defaults.items()
+    if default is None or isinstance(default, list)
+]
 
 
 def run(args, tmp_path, extra=()):
@@ -153,6 +166,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
         ("product-sweep", "ladder", 3),
         ("eps-sweep", "eps_ladder", "x"),
         ("eps-sweep", "eps_ladder", [0.1, "a"]),
+        # the right type but out of range: named by key, not by the grid it would break
+        ("split-demo", "lambda_scales", [1.0, 0.0]),
+        ("split-demo", "lambda_scales", [1.0, -4.0]),
+        ("split-demo", "lambda_scales", [-1]),
+        ("product-sweep", "ladder", [[0.1, -1]]),
+        ("product-sweep", "ladder", [[0.0, 100.0]]),
     ],
 )
 def test_ill_typed_config_value_rejected(tmp_path, capsys, command, key, value):
@@ -161,6 +180,25 @@ def test_ill_typed_config_value_rejected(tmp_path, capsys, command, key, value):
     code = run([command, "--config", str(cfg)], tmp_path)
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, default", SCALAR_SETTINGS)
+def test_every_scalar_setting_is_a_flag(command, key, default):
+    if isinstance(default, str):
+        value = "json" if key == "format" else "elsewhere"
+    else:
+        value = default + 1
+    args = build_parser().parse_args([command, "--" + key.replace("_", "-"), str(value)])
+    assert getattr(args, key) == value
+    assert type(getattr(args, key)) is type(default)
+
+
+@pytest.mark.parametrize("command, key", LIST_SETTINGS)
+def test_list_setting_is_config_only(capsys, command, key):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--" + key.replace("_", "-"), "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["product-sweep", "symmetrize", "minimize"])

@@ -197,8 +197,8 @@ def test_energy_gradient_is_exact_adjoint(grid, wall):
     gradient = StaggeredGradient(grid, wall)
     s_weight = grid.s_grid.weight_average(1.0) * grid.s_grid.cell_measures
     for p, delta in ((3.0, 1e-3), (2.0, 0.0)):
-        energy, grad = gradient.energy_and_gradient(U, p, s_weight, delta)
-        assert energy == pytest.approx(gradient.energy(U, p, s_weight, delta), rel=1e-14)
+        energy = gradient.energy(U, p, s_weight, delta)
+        grad = gradient.gradient(U, p, s_weight, delta)
         h = 1e-5
         slope = (gradient.energy(U + h * V, p, s_weight, delta) - gradient.energy(U - h * V, p, s_weight, delta)) / (2 * h)
         assert slope == pytest.approx(float(np.sum(grad * V)), rel=1e-6)
