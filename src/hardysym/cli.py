@@ -11,8 +11,9 @@ config file may hold only those keys, each with a value of its default's type.
 
 Exit status: 0 on success, 2 on validation / degenerate-input errors (the
 message names the violated clause), unknown flags, unknown config keys,
-ill-typed config values or a negative count (refine, seed, trials,
-max_iter), 3 when `properties` finds a violation, 1 on I/O errors.
+ill-typed config values, a negative count (refine, seed, trials,
+max_iter) or a grid size out of range (n, n_s, n_t, log_r_max), 3 when
+`properties` finds a violation, 1 on I/O errors.
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def cmd_product_sweep(cfg: dict) -> int:
 
 def _hs_grid(cfg: dict) -> CylGrid:
     n = _refined(cfg["n"], cfg)
+    if n < 2:
+        raise ConfigurationError(f"n must be >= 2 (the last cell of each radius is held at zero), got {n}")
     s_grid = make_radial_grid(cfg["k"], cfg["r_max"], n, "equimeasure")
     if cfg["N"] == cfg["k"]:
         return CylGrid(s_grid)
@@ -269,12 +272,9 @@ def cmd_properties(cfg: dict) -> int:
     s, t = 10.0 * samples[:, 0], 10.0 * samples[:, 1]
     lam = np.clip(samples[:, 2], 1e-12, 1.0 - 1e-12)
     p = 1.0 + 5.0 * samples[:, 3]
-    violations = 0
-    for i in range(n_trials):
-        lhs, rhs = convexity_bound(s[i], t[i], lam[i], p[i])
-        if lhs > rhs * (1 + 1e-12):
-            violations += 1
-    results["convexity_violations"] = violations
+    lhs, rhs = convexity_bound(s, t, lam, p)
+    # broadcast, so that a scalar verdict counts once per trial
+    results["convexity_violations"] = int(np.count_nonzero(np.broadcast_to(lhs > rhs * (1 + 1e-12), s.shape)))
 
     grid = make_radial_grid(1, 1.0, 64, "uniform")
     hl_violations = 0

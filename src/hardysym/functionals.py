@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParameterError, UsageError
-from .grid import CylGrid, GridFunction, StaggeredGradient, as_2d
+from .grid import CylGrid, GridFunction, StaggeredGradient, as_2d, sum_over_row_blocks
 
 __all__ = [
     "Params",
@@ -98,11 +98,19 @@ class QuotientReport:
 
 
 def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
-    """integral of u^p |y|^a over R^N, reduced to the grid."""
+    """integral of u^p |y|^a over R^N, reduced to the grid and summed by row
+    blocks (sum_over_row_blocks)."""
     if p <= 0:
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
-    return float(np.sum(values**p * grid.s_grid.weight_average(a)[:, None] * grid.cell_measures))
+    weight = grid.s_grid.weight_average(a)
+    s_measures, t_measures = grid.s_grid.cell_measures, grid.t_measures
+
+    def block_norm(i0, i1):
+        measures = np.outer(s_measures[i0:i1], t_measures)
+        return (values[i0:i1] ** p * weight[i0:i1, None] * measures).sum()
+
+    return sum_over_row_blocks(values.shape, block_norm)
 
 
 def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) -> float:

@@ -28,8 +28,12 @@ __all__ = [
     "as_2d",
     "integrate",
     "StaggeredGradient",
+    "BLOCK_CELLS",
+    "sum_over_row_blocks",
     "grid_function_to_csv",
 ]
+
+BLOCK_CELLS = 1 << 16  # cells per row block of a blocked sum: 512 KB per float64 temporary
 
 
 def sphere_area(d: int) -> float:
@@ -339,6 +343,21 @@ def as_2d(u: GridFunction) -> tuple:
     return u.values[:, None], CylGrid(u.grid)
 
 
+def sum_over_row_blocks(shape: tuple, block_sum) -> float:
+    """Sum of block_sum(i0, i1) over the row windows i0 <= i < i1 that cover
+    the s-axis of an (ns, nt) array in blocks of about BLOCK_CELLS cells (at
+    least one row each).
+
+    A grid sum taken block by block keeps every temporary at block size.  An
+    array of at most BLOCK_CELLS cells is one block, summed as a whole.  The
+    partial sums are added by np.add.reduce, which is the whole array's own
+    pairwise order for up to eight equal blocks of 2^j cells.
+    """
+    ns, nt = shape
+    rows = max(1, BLOCK_CELLS // nt)
+    return float(np.add.reduce([block_sum(i0, min(i0 + rows, ns)) for i0 in range(0, ns, rows)]))
+
+
 def _inverse_spacings(grid: RadialGrid, wall: bool) -> np.ndarray:
     """Inverse node-to-node distances across the interior edges, plus, with a
     wall, the inverse distance from the last node to r_max."""
@@ -378,25 +397,32 @@ class StaggeredGradient:
         self.inv_ds = _inverse_spacings(grid.s_grid, wall)
         self.inv_dt = None if grid.t_grid is None else _inverse_spacings(grid.t_grid, wall)
 
-    def edges(self, values: np.ndarray) -> tuple:
-        """Edge gradients (gs, gt) of (ns, nt) cell values.
+    def edges(self, values: np.ndarray, rows: Optional[tuple] = None) -> tuple:
+        """Edge gradients (gs, gt) of (ns, nt) cell values, for the rows
+        i0 <= i < i1 of the window `rows` = (i0, i1) (default: all rows).
 
-        gs has shape (ns + 1, nt) and gt has shape (ns, nt + 1); gt is None
-        when the grid has no t-axis (m = 0).
+        gs holds the s-edges i0..i1, shape (i1 - i0 + 1, nt): s-edge i lies
+        below cell row i, so edge 0 is the origin edge and edge ns the outer
+        edge.  gt holds the t-edges of rows i0..i1 - 1, shape (i1 - i0, nt + 1);
+        it is None when the grid has no t-axis (m = 0).
         """
         ns, nt = values.shape
-        gs = np.zeros((ns + 1, nt))
-        np.subtract(values[1:], values[:-1], out=gs[1:ns])
-        gs[1:ns] *= self.inv_ds[: ns - 1, None]
-        if self.wall:
-            gs[ns] = -values[-1] * self.inv_ds[-1]
+        i0, i1 = (0, ns) if rows is None else rows
+        gs = np.zeros((i1 - i0 + 1, nt))
+        lo, hi = max(i0, 1), min(i1, ns - 1)  # the interior s-edges in the window
+        inner = gs[lo - i0 : hi - i0 + 1]
+        np.subtract(values[lo : hi + 1], values[lo - 1 : hi], out=inner)
+        inner *= self.inv_ds[lo - 1 : hi, None]
+        if self.wall and i1 == ns:
+            gs[-1] = -values[-1] * self.inv_ds[-1]
         if self.inv_dt is None:
             return gs, None
-        gt = np.zeros((ns, nt + 1))
-        np.subtract(values[:, 1:], values[:, :-1], out=gt[:, 1:nt])
+        block = values[i0:i1]
+        gt = np.zeros((i1 - i0, nt + 1))
+        np.subtract(block[:, 1:], block[:, :-1], out=gt[:, 1:nt])
         gt[:, 1:nt] *= self.inv_dt[: nt - 1]
         if self.wall:
-            gt[:, nt] = -values[:, -1] * self.inv_dt[-1]
+            gt[:, nt] = -block[:, -1] * self.inv_dt[-1]
         return gs, gt
 
     @staticmethod
@@ -413,18 +439,23 @@ class StaggeredGradient:
 
     def energy(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> float:
         """sum of (|grad u|^2 + delta^2)^(p/2) * s_weight[i] * t_measures[j]
-        over the cells; each edge gradient is squared once, in place."""
-        gs, gt = self.edges(values)
-        np.square(gs, out=gs)
-        if gt is not None:
-            np.square(gt, out=gt)
-        density = self.average(gs, gt)
-        del gs, gt  # free the edge arrays before the 2-D weight is formed
-        if delta:
-            density += delta**2
-        density **= p / 2.0
-        density *= s_weight[:, None] * self.t_measures
-        return float(np.sum(density))
+        over the cells, by row blocks (sum_over_row_blocks); each edge
+        gradient is squared once, in place."""
+
+        def block_energy(i0, i1):
+            gs, gt = self.edges(values, (i0, i1))
+            np.square(gs, out=gs)
+            if gt is not None:
+                np.square(gt, out=gt)
+            density = self.average(gs, gt)
+            del gs, gt  # free the edge arrays before the weight is formed
+            if delta:
+                density += delta**2
+            density **= p / 2.0
+            density *= s_weight[i0:i1, None] * self.t_measures
+            return density.sum()
+
+        return sum_over_row_blocks(values.shape, block_energy)
 
     def gradient(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """The exact gradient of `energy` with respect to the cell values."""

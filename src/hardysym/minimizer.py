@@ -15,7 +15,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, UsageError
 from .functionals import Params, hs_constraint, hs_quotient
-from .grid import CylGrid, GridFunction, StaggeredGradient, make_radial_grid
+from .grid import CylGrid, GridFunction, StaggeredGradient, make_radial_grid, sphere_area
 from .rearrange import double_star
 from .sharp_constant import eps_family_truncated, product_family
 
@@ -30,6 +30,7 @@ __all__ = [
 
 
 DELTA_SCALE = 1e-8  # p-Laplacian regularization for p != 2, relative to grid diameter
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,9 @@ def hardy_endpoint_sweep(
     plateau family needs exponentially many e-folds in eps, so the y-grid is
     geometric, with an origin cell of width 1e-3, out to r_max =
     exp(log_r_max), and the spreading scales are proportional to r_max.  The
-    bump is sampled on 1024 cells of [0, 1].
+    bump is sampled on 1024 cells of [0, 1].  A ConfigurationError names
+    n_s or n_t below 2, an n_t too coarse to sample the narrowest bump, and
+    a log_r_max whose grid volume, of order r_max^N, overflows float64.
     """
     if params.beta is None or abs(params.beta - params.p) > 1e-12:
         raise DomainError("endpoint sweep requires beta = p (so q = p)")
@@ -286,6 +289,15 @@ def hardy_endpoint_sweep(
     k, m, p = params.k, params.m, params.p
     if m < 1:
         raise DomainError("endpoint sweep needs m = N - k >= 1")
+    for key, n in (("n_s", n_s), ("n_t", n_t)):
+        if n < 2:
+            raise ConfigurationError(f"{key} must be >= 2 (the quotient's energy needs 2 cells per radius), got {n}")
+    # the measure sums reach the volume of the R x 1.05 R cylinder, of order R^N
+    log_r_limit = (LOG_FLOAT_MAX - math.log(sphere_area(k) / k * sphere_area(m) / m * 1.05**m)) / params.N
+    if not log_r_max < log_r_limit:
+        raise ConfigurationError(
+            f"log_r_max must be < {log_r_limit:.6g} for N = {params.N} (the grid's volume overflows), got {log_r_max}"
+        )
     R = math.exp(log_r_max)
     target = ((k - p) / p) ** p
 
@@ -309,6 +321,12 @@ def hardy_endpoint_sweep(
     w_grid = make_radial_grid(m, 1.0, 1024, "uniform")
     x = w_grid.nodes
     w = GridFunction(w_grid, (1.0 - np.minimum(x * x, 1.0)) ** 2)
+    lam_min = min(lam for _, lam in ladder)
+    if t_grid.nodes[0] / lam_min > x[-1]:
+        raise ConfigurationError(
+            f"n_t = {n_t} is too small: the first t-cell centre {t_grid.nodes[0]:.4g} lies outside "
+            f"the bump's support at lambda = {lam_min:.4g}"
+        )
 
     rows = []
     for eps, lam in ladder:

@@ -163,16 +163,17 @@ def eps_sweep(
     return rows
 
 
-def convexity_bound(s: float, t: float, lam: float, p: float):
-    """Two-sided evaluation of (s^2+t^2)^(p/2) <= (1-lam)^(1-p) s^p + lam^(1-p) t^p.
+def convexity_bound(s, t, lam, p):
+    """Two-sided evaluation of (s^2+t^2)^(p/2) <= (1-lam)^(1-p) s^p + lam^(1-p) t^p,
+    elementwise over scalars or arrays that broadcast together.
 
     Returns (lhs, rhs).
     """
-    if not (0.0 < lam < 1.0):
+    if not np.all((0.0 < lam) & (lam < 1.0)):
         raise DomainError("lambda in (0, 1) violated")
-    if p <= 1:
+    if np.any(p <= 1):
         raise DomainError("p > 1 violated")
-    if s < 0 or t < 0:
+    if np.any(s < 0) or np.any(t < 0):
         raise DomainError("s, t >= 0 violated")
     lhs = (s * s + t * t) ** (p / 2.0)
     rhs = (1.0 - lam) ** (1.0 - p) * s**p + lam ** (1.0 - p) * t**p

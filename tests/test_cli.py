@@ -224,6 +224,27 @@ def test_negative_count_flag_rejected(tmp_path, capsys, args, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["symmetrize", "--n", "1"], "n"),
+        (["minimize", "--n", "1"], "n"),
+        (["product-sweep", "--n-s", "0"], "n_s"),
+        (["product-sweep", "--n-t", "0"], "n_t"),
+        (["product-sweep", "--n-t", "1"], "n_t"),
+        (["product-sweep", "--n-t", "8"], "n_t"),
+        # R = exp(log_r_max): at 240 the cell measures overflow to nan, at 1000 R itself
+        (["product-sweep", "--log-r-max", "240"], "log_r_max"),
+        (["product-sweep", "--log-r-max", "1000"], "log_r_max"),
+    ],
+)
+def test_out_of_range_grid_flag_named(tmp_path, capsys, args, key):
+    # rejected by key, not by the degenerate quotient the grid would give
+    code = run(args, tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.split()[1] == key
+
+
 def test_config_int_accepted_for_float_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 2, "alpha": -2, "k": 3}))

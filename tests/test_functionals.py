@@ -10,6 +10,7 @@ from hardysym import (
     ParameterError,
     Params,
     UsageError,
+    double_star,
     hardy_quotient,
     hs_constraint,
     hs_quotient,
@@ -18,6 +19,7 @@ from hardysym import (
     weighted_dirichlet,
     weighted_p_norm,
 )
+from hardysym.grid import BLOCK_CELLS, as_2d
 
 
 def cyl_grid(n=64, r_max=8.0, k=2, m=2):
@@ -88,6 +90,43 @@ def test_weighted_p_norm_homogeneity():
     u = GridFunction(g, rng.uniform(size=g.shape))
     base = weighted_p_norm(u, 3.0, -1.0)
     assert weighted_p_norm(u.scaled(2.0), 3.0, -1.0) == pytest.approx(8 * base, rel=1e-12)
+
+
+def whole_array_norm(u, p, a):
+    """weighted_p_norm as one whole-array expression, summed once."""
+    values, grid = as_2d(u)
+    return float(np.sum(values**p * grid.s_grid.weight_average(a)[:, None] * grid.cell_measures))
+
+
+def bumpy(grid, seed):
+    rng = np.random.default_rng(seed)
+    s = grid.s_nodes[:, None] / grid.s_grid.r_max
+    t = grid.t_nodes[None, :] / grid.t_grid.r_max
+    return np.exp(-4.0 * s**2 - 3.0 * t**2) * (1.0 + 0.2 * rng.uniform(size=grid.shape))
+
+
+@pytest.mark.parametrize("p, a", [(2.0, 0.0), (3.0, -1.0)])
+def test_blocked_weighted_p_norm_matches_whole_array(p, a):
+    # four row blocks, the last one ragged (5 rows)
+    nt = 64
+    ns = 3 * (BLOCK_CELLS // nt) + 5
+    g = CylGrid(make_radial_grid(2, 6.0, ns, "geometric", ratio=1.001), make_radial_grid(2, 4.0, nt, "uniform"))
+    u = GridFunction(g, bumpy(g, 11))
+    assert weighted_p_norm(u, p, a) == pytest.approx(whole_array_norm(u, p, a), rel=1e-13)
+
+
+@pytest.mark.parametrize("p, a", [(2.0, 0.0), (3.0, -1.0)])
+def test_single_block_weighted_p_norm_is_whole_array_arithmetic(p, a):
+    # at most BLOCK_CELLS cells: the exact whole-array sum, also for the
+    # Fortran-ordered output of double_star, which is summed in memory order
+    g = cyl_grid(n=96)
+    u = GridFunction(g, bumpy(g, 5))
+    fortran = double_star(GridFunction(g, u.values[::-1].copy()))
+    assert fortran.values.flags["F_CONTIGUOUS"] and not fortran.values.flags["C_CONTIGUOUS"]
+    radial = make_radial_grid(3, 100.0, 200, "geometric", first_width=1e-2)
+    for v in (u, fortran, GridFunction(radial, np.exp(-radial.nodes))):
+        assert v.values.size <= BLOCK_CELLS
+        assert weighted_p_norm(v, p, a) == whole_array_norm(v, p, a)
 
 
 def test_weighted_dirichlet_constant_is_zero():

@@ -11,13 +11,14 @@ from hardysym import (
     DomainError,
     GridFunction,
     UsageError,
+    double_star,
     integrate,
     make_radial_grid,
     radial_grid_from_edges,
     sphere_area,
     weighted_dirichlet,
 )
-from hardysym.grid import StaggeredGradient
+from hardysym.grid import BLOCK_CELLS, StaggeredGradient
 
 GRADINGS = [
     ("uniform", {}),
@@ -204,6 +205,87 @@ def test_energy_gradient_is_exact_adjoint(grid, wall):
         assert slope == pytest.approx(float(np.sum(grad * V)), rel=1e-6)
         if p == 2.0:
             assert energy == pytest.approx(0.5 * float(np.sum(grad * U)), rel=1e-12)
+
+
+def whole_array_energy(grid, wall, values, p, s_weight, delta):
+    """StaggeredGradient.energy written out on whole arrays: one difference
+    per edge (origin edge zero, outer edge the wall or zero), squared,
+    averaged onto cells, weighted and summed once."""
+    ns, nt = values.shape
+
+    def inverse_spacings(radial):
+        gaps = np.diff(radial.nodes)
+        if wall:
+            gaps = np.concatenate((gaps, [radial.r_max - radial.nodes[-1]]))
+        return 1.0 / gaps
+
+    inv_ds = inverse_spacings(grid.s_grid)
+    gs = np.zeros((ns + 1, nt))
+    gs[1:ns] = (values[1:] - values[:-1]) * inv_ds[: ns - 1, None]
+    if wall:
+        gs[ns] = -values[-1] * inv_ds[-1]
+    density = 0.5 * (gs[:-1] ** 2 + gs[1:] ** 2)
+    if grid.t_grid is not None:
+        inv_dt = inverse_spacings(grid.t_grid)
+        gt = np.zeros((ns, nt + 1))
+        gt[:, 1:nt] = (values[:, 1:] - values[:, :-1]) * inv_dt[: nt - 1]
+        if wall:
+            gt[:, nt] = -values[:, -1] * inv_dt[-1]
+        density += 0.5 * (gt[:, :-1] ** 2 + gt[:, 1:] ** 2)
+    if delta:
+        density += delta**2
+    return float(np.sum(density ** (p / 2.0) * (s_weight[:, None] * grid.t_measures)))
+
+
+def bumpy(grid, seed):
+    """Positive values with structure on every row, so each block edge matters."""
+    rng = np.random.default_rng(seed)
+    s = grid.s_nodes[:, None] / grid.s_grid.r_max
+    t = grid.t_nodes[None, :] / (grid.t_grid.r_max if grid.t_grid is not None else 1.0)
+    return np.exp(-4.0 * s**2 - 3.0 * t**2) * (1.0 + 0.2 * rng.uniform(size=grid.shape))
+
+
+ENERGY_CASES = [(wall, p, delta) for wall in (True, False) for p, delta in ((2.0, 0.0), (3.0, 1e-3))]
+
+
+@pytest.mark.parametrize("wall, p, delta", ENERGY_CASES)
+def test_blocked_energy_matches_whole_array(wall, p, delta):
+    # four row blocks, the last one ragged (5 rows)
+    nt = 64
+    ns = 3 * (BLOCK_CELLS // nt) + 5
+    grid = CylGrid(make_radial_grid(2, 6.0, ns, "geometric", ratio=1.001), make_radial_grid(2, 4.0, nt, "uniform"))
+    values = bumpy(grid, 11)
+    s_weight = grid.s_grid.weight_average(1.0) * grid.s_grid.cell_measures
+    energy = StaggeredGradient(grid, wall).energy(values, p, s_weight, delta)
+    assert energy == pytest.approx(whole_array_energy(grid, wall, values, p, s_weight, delta), rel=1e-13)
+
+
+@pytest.mark.parametrize("wall, p, delta", ENERGY_CASES)
+def test_single_block_energy_is_whole_array_arithmetic(wall, p, delta):
+    # at most BLOCK_CELLS cells: the exact sum of the whole-array reference,
+    # for C-ordered and Fortran-ordered values and for a radial grid
+    cyl = CylGrid(make_radial_grid(2, 8.0, 96, "uniform"), make_radial_grid(2, 8.0, 80, "uniform"))
+    radial = CylGrid(make_radial_grid(3, 100.0, 200, "geometric", first_width=1e-2))
+    fortran = double_star(GridFunction(cyl, bumpy(cyl, 5)[::-1].copy())).values
+    assert fortran.flags["F_CONTIGUOUS"] and not fortran.flags["C_CONTIGUOUS"]
+    for grid, values in ((cyl, bumpy(cyl, 5)), (cyl, fortran), (radial, bumpy(radial, 6))):
+        assert values.size <= BLOCK_CELLS
+        s_weight = grid.s_grid.cell_measures
+        energy = StaggeredGradient(grid, wall).energy(values, p, s_weight, delta)
+        assert energy == whole_array_energy(grid, wall, values, p, s_weight, delta)
+
+
+def test_eight_power_of_two_blocks_add_in_whole_array_order():
+    # the split-demo grid: 8 blocks of 2^16 cells, whose partial sums add up
+    # in the whole array's pairwise order, so the quotients keep every bit
+    grid = CylGrid(make_radial_grid(1, 0.5, 256, "uniform"), make_radial_grid(1, 67.2, 2048, "uniform"))
+    assert grid.shape[0] * grid.shape[1] == 8 * BLOCK_CELLS
+    # for these values, adding the 8 partial sums left to right, or exactly
+    # rounded (math.fsum), gives a different last bit than the pairwise order
+    values = np.random.default_rng(0).uniform(size=grid.shape)
+    s_weight = grid.s_grid.cell_measures
+    energy = StaggeredGradient(grid, True).energy(values, 2.0, s_weight)
+    assert energy == whole_array_energy(grid, True, values, 2.0, s_weight, 0.0)
 
 
 def test_dirichlet_single_cell_errors():
