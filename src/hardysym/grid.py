@@ -28,6 +28,7 @@ __all__ = [
     "as_2d",
     "integrate",
     "StaggeredGradient",
+    "DirichletEnergy",
     "BLOCK_CELLS",
     "sum_over_row_blocks",
     "grid_function_to_csv",
@@ -425,50 +426,48 @@ class StaggeredGradient:
             gt[:, nt] = -block[:, -1] * self.inv_dt[-1]
         return gs, gt
 
-    @staticmethod
-    def average(sq_s: np.ndarray, sq_t) -> np.ndarray:
-        """Cell averages 0.5 (sq_s[i] + sq_s[i+1]) + 0.5 (sq_t[j] + sq_t[j+1])
-        of squared edge gradients (sq_t None: no t-axis)."""
-        g2 = sq_s[:-1] + sq_s[1:]
+    def density(self, values: np.ndarray, delta: float = 0.0, rows: Optional[tuple] = None) -> tuple:
+        """(gs, gt, g2) for the window `rows` of `edges`: its edge gradients,
+        and per cell g2 = |grad u|^2 + delta^2, with |grad u|^2 the squared
+        edge gradients averaged over the two edges of the cell along each
+        axis, 0.5 (gs[i]^2 + gs[i+1]^2) + 0.5 (gt[j]^2 + gt[j+1]^2)."""
+        gs, gt = self.edges(values, rows)
+        sq = np.square(gs)
+        g2 = sq[:-1] + sq[1:]
         g2 *= 0.5
-        if sq_t is not None:
-            half_t = sq_t[:, :-1] + sq_t[:, 1:]
+        if gt is not None:
+            del sq  # freed before the t-squares, so a block's energy holds at most five block arrays
+            sq = np.square(gt)
+            half_t = sq[:, :-1] + sq[:, 1:]
             half_t *= 0.5
             g2 += half_t
-        return g2
+        if delta:
+            g2 += delta**2
+        return gs, gt, g2
 
     def energy(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> float:
         """sum of (|grad u|^2 + delta^2)^(p/2) * s_weight[i] * t_measures[j]
-        over the cells, by row blocks (sum_over_row_blocks); each edge
-        gradient is squared once, in place."""
+        over the cells, by row blocks (sum_over_row_blocks), so that no
+        temporary is larger than a block."""
 
         def block_energy(i0, i1):
-            gs, gt = self.edges(values, (i0, i1))
-            np.square(gs, out=gs)
-            if gt is not None:
-                np.square(gt, out=gt)
-            density = self.average(gs, gt)
-            del gs, gt  # free the edge arrays before the weight is formed
-            if delta:
-                density += delta**2
-            density **= p / 2.0
-            density *= s_weight[i0:i1, None] * self.t_measures
-            return density.sum()
+            g2 = self.density(values, delta, (i0, i1))[2]
+            return _power_sum(g2, p, s_weight[i0:i1, None] * self.t_measures)
 
         return sum_over_row_blocks(values.shape, block_energy)
 
     def gradient(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """The exact gradient of `energy` with respect to the cell values."""
-        gs, gt = self.edges(values)
-        g2 = self.average(gs**2, None if gt is None else gt**2)
-        g2 += delta**2
-        psi = 0.5 * p * g2 ** (p / 2.0 - 1.0) * (s_weight[:, None] * self.t_measures)
-        # chain rule back through the average, then the adjoint of the differences
-        flux_s = 2.0 * _spread(psi, 0) * gs
+        energy = DirichletEnergy(self, p, s_weight, delta)
+        return energy.gradient(energy.state(values))
+
+    def adjoint(self, flux_s: np.ndarray, flux_t) -> np.ndarray:
+        """Cell values of the transposed differences of `edges` applied to
+        edge fluxes laid out as its (gs, gt), which vanish on the edges whose
+        gradient `edges` fixes at zero.  The fluxes are overwritten."""
         flux_s[1 : 1 + len(self.inv_ds)] *= self.inv_ds[:, None]
         grad = flux_s[:-1] - flux_s[1:]
-        if gt is not None:
-            flux_t = 2.0 * _spread(psi, 1) * gt
+        if flux_t is not None:
             flux_t[:, 1 : 1 + len(self.inv_dt)] *= self.inv_dt
             grad += flux_t[:, :-1]
             grad -= flux_t[:, 1:]
@@ -481,6 +480,55 @@ class StaggeredGradient:
         n = radial.n  # D[i, i] = inv_d[i - 1] and D[i + 1, i] = -inv_d[i] on the interior and wall edges
         D = sp.diags([-np.append(inv_d, 0.0)[:n], np.append(0.0, inv_d)[:n]], [-1, 0], shape=(n + 1, n))
         return (D.T @ sp.diags(_spread(radial.cell_measures, 0)) @ D).tocsr()
+
+
+def _power_sum(g2: np.ndarray, p: float, weight: np.ndarray) -> float:
+    """sum of g2^(p/2) * weight over a block of cells."""
+    density = g2 ** (p / 2.0)
+    density *= weight
+    return density.sum()
+
+
+class DirichletEnergy:
+    """StaggeredGradient.energy and .gradient at a fixed p, s_weight and
+    delta, both read off one state per cell array.
+
+    A descent evaluates them thousands of times, so the loop invariants are
+    formed once: the cell weight s_weight[i] * t_measures[j] and, at p = 2
+    with delta = 0, where psi = 0.5 p g2^(p/2 - 1) * weight is exactly the
+    weight, the flux weights 2 * spread(psi).  `state(values)` is
+    StaggeredGradient.density of the whole array; `energy(state)` sums over
+    the row blocks of StaggeredGradient.energy, and both `energy` and
+    `gradient` keep its arithmetic and order, so they agree with
+    StaggeredGradient.energy(values, ...) and .gradient(values, ...) bit for
+    bit.
+    """
+
+    def __init__(self, operator: StaggeredGradient, p: float, s_weight: np.ndarray, delta: float = 0.0):
+        self.operator, self.p, self.delta = operator, p, delta
+        self.weight = s_weight[:, None] * operator.t_measures
+        self.flux_weights = self._flux_weights(self.weight) if p == 2.0 and not delta else None
+
+    def _flux_weights(self, psi: np.ndarray) -> tuple:
+        """2 * spread(psi) along s and t: the chain rule back through the cell average."""
+        return 2.0 * _spread(psi, 0), None if self.operator.inv_dt is None else 2.0 * _spread(psi, 1)
+
+    def state(self, values: np.ndarray) -> tuple:
+        """(gs, gt, g2) of the whole array: see StaggeredGradient.density."""
+        return self.operator.density(values, self.delta)
+
+    def energy(self, state: tuple) -> float:
+        """The energy of the values behind `state`."""
+        g2 = state[2]
+        return sum_over_row_blocks(g2.shape, lambda i0, i1: _power_sum(g2[i0:i1], self.p, self.weight[i0:i1]))
+
+    def gradient(self, state: tuple) -> np.ndarray:
+        """The energy's gradient at the values behind `state`."""
+        gs, gt, g2 = state
+        flux_s, flux_t = self.flux_weights or self._flux_weights(
+            0.5 * self.p * g2 ** (self.p / 2.0 - 1.0) * self.weight
+        )
+        return self.operator.adjoint(flux_s * gs, None if gt is None else flux_t * gt)
 
 
 def grid_function_to_csv(u: GridFunction, path) -> None:

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, UsageError
 from .functionals import Params, hs_constraint, hs_quotient
-from .grid import CylGrid, GridFunction, StaggeredGradient, make_radial_grid, sphere_area
+from .grid import CylGrid, DirichletEnergy, GridFunction, StaggeredGradient, make_radial_grid, sphere_area
 from .rearrange import double_star
 from .sharp_constant import eps_family_truncated, product_family
 
@@ -119,13 +119,14 @@ def _build_preconditioner(grid: CylGrid, gradient: StaggeredGradient):
     """H1-type preconditioner As⊗Mt + Ms⊗At + Ms⊗Mt: staggered stiffness
     (p = 2 coefficients) plus the diagonal cell-measure mass.
 
-    The mass term alone makes it symmetric positive definite, so the
-    preconditioned gradient always points downhill.  Returns a callable that
-    solves it for an (ns, nt) array.  A cylinder grid (m >= 1) gets the fast
-    diagonalization method (Lynch, Rice & Thomas 1964): each solve is four
-    dense matmuls in the generalized eigenbases of the two 1-D pencils.  A
-    radial grid (m = 0, where ns can be thousands) gets a sparse LU of the
-    tridiagonal matrix.
+    The wall edge already makes each 1-D stiffness positive definite, so
+    the matrix is symmetric positive definite and the preconditioned
+    gradient always points downhill; the mass term sets the metric's length
+    scale to 1.  Returns a callable that solves it for an (ns, nt) array.
+    A cylinder grid (m >= 1) gets the fast diagonalization method (Lynch,
+    Rice & Thomas 1964): each solve is four dense matmuls in the generalized
+    eigenbases of the two 1-D pencils.  A radial grid (m = 0, where ns can
+    be thousands) gets a sparse LU of the tridiagonal matrix.
     """
     ms = grid.s_grid.cell_measures
     mt = grid.t_measures
@@ -153,7 +154,9 @@ def minimize_hs(
     re-imposes nonnegativity, and rescales back onto the constraint set.  A
     step is accepted only if the quotient does not increase; backtracking
     halves the step size.  Convergence is declared on relative quotient
-    stagnation.
+    stagnation.  Each candidate's edge gradients and cell density are
+    computed once (DirichletEnergy.state): its energy is read off them, and
+    the accepted candidate's feed the next gradient.
     """
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
@@ -174,45 +177,55 @@ def minimize_hs(
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
     gradient = StaggeredGradient(grid, wall=True)
+    dirichlet = DirichletEnergy(gradient, p, grid.s_grid.cell_measures, delta)
     solve = _build_preconditioner(grid, gradient)
     trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
 
     def constraint(V):
-        return float(np.sum(V**q * s_weight * cell_measures))
+        density = V**q
+        density *= s_weight
+        density *= cell_measures
+        return float(density.sum())
 
     def evaluate(V):
-        """Rescale V to constraint value 1 (exact by q-homogeneity); return it
-        with its constraint, energy and quotient."""
+        """Rescale V, a fresh array, in place to constraint value 1 (exact by
+        q-homogeneity); return its constraint, energy state, energy and
+        quotient."""
         c = constraint(V)
         if not np.isfinite(c):
             raise DomainError("constraint integral is not finite")
         if c <= 0:
             raise DegenerateInputError("cannot project: constraint integral is zero")
-        V = V * c ** (-1.0 / q)
+        V *= c ** (-1.0 / q)
         c = constraint(V)
-        e = gradient.energy(V, p, grid.s_grid.cell_measures, delta)
-        return V, c, e, e / c ** (p / q)
+        state = dirichlet.state(V)
+        e = dirichlet.energy(state)
+        return c, state, e, e / c ** (p / q)
 
-    U, c, energy, quotient = evaluate(np.clip(u0.values, 0.0, None))
+    U = np.maximum(u0.values, 0.0)
+    c, state, energy, quotient = evaluate(U)
     history = [(energy, c, quotient, 0.0)]
     tau = opts.tau0
     for _ in range(opts.max_iter):
-        grad_e = gradient.gradient(U, p, grid.s_grid.cell_measures, delta)
         theta = p * energy / (q * c)
-        grad_c = q * U ** (q - 1.0) * Wbeta
-        search = solve(grad_e - theta * grad_c)
-        dir_scale = np.max(np.abs(search))
+        # the accepted iterate's state gives its energy gradient, with no
+        # second pass over U; it is freed before the line search
+        search = solve(dirichlet.gradient(state) - theta * (q * U ** (q - 1.0) * Wbeta))
+        del state
+        dir_scale = np.abs(search).max()
         if dir_scale == 0.0 or not np.isfinite(dir_scale):
             trace.converged, trace.stop_reason = True, "zero_gradient"
             break
 
         tau = min(2.0 * tau, 1e6)
         for _ in range(opts.max_halvings + 1):
-            cand = np.clip(U - tau * search, 0.0, None)
-            if np.any(cand > 0):
-                V, c_new, e_new, q_new = evaluate(cand)
+            cand = U - tau * search
+            np.maximum(cand, 0.0, out=cand)
+            if (cand > 0).any():
+                c_new, state, e_new, q_new = evaluate(cand)
                 if q_new <= quotient:
                     break
+                del state  # a rejected candidate's state is freed before the next one is made
             tau *= 0.5
         else:
             # cannot decrease along this search vector: stationary up to line-search floor
@@ -220,7 +233,7 @@ def minimize_hs(
             break
 
         rel_change = abs(quotient - q_new) / max(quotient, 1e-300)
-        U, c, energy, quotient = V, c_new, e_new, q_new
+        U, c, energy, quotient = cand, c_new, e_new, q_new
         history.append((energy, c, quotient, tau))
         if rel_change < opts.tol:
             trace.converged, trace.stop_reason = True, "quotient_stagnation"
@@ -280,7 +293,10 @@ def hardy_endpoint_sweep(
     exp(log_r_max), and the spreading scales are proportional to r_max.  The
     bump is sampled on 1024 cells of [0, 1].  A ConfigurationError names
     n_s or n_t below 2, an n_t too coarse to sample the narrowest bump, and
-    a log_r_max whose grid volume, of order r_max^N, overflows float64.
+    a log_r_max or a ladder whose grid volume, of order
+    r_max^k (1.05 lambda_max)^m, overflows float64.  Each rung's product
+    function is released before the next one is built, so the sweep holds
+    one grid function at a time.
     """
     if params.beta is None or abs(params.beta - params.p) > 1e-12:
         raise DomainError("endpoint sweep requires beta = p (so q = p)")
@@ -292,8 +308,10 @@ def hardy_endpoint_sweep(
     for key, n in (("n_s", n_s), ("n_t", n_t)):
         if n < 2:
             raise ConfigurationError(f"{key} must be >= 2 (the quotient's energy needs 2 cells per radius), got {n}")
-    # the measure sums reach the volume of the R x 1.05 R cylinder, of order R^N
-    log_r_limit = (LOG_FLOAT_MAX - math.log(sphere_area(k) / k * sphere_area(m) / m * 1.05**m)) / params.N
+    # the measure sums reach the volume of the R x 1.05 lambda_max cylinder,
+    # sigma_k/k R^k sigma_m/m (1.05 lambda_max)^m; the default ladder has lambda_max = R
+    log_sigma = math.log(sphere_area(k) / k * sphere_area(m) / m * 1.05**m)
+    log_r_limit = (LOG_FLOAT_MAX - log_sigma) / params.N
     if not log_r_max < log_r_limit:
         raise ConfigurationError(
             f"log_r_max must be < {log_r_limit:.6g} for N = {params.N} (the grid's volume overflows), got {log_r_max}"
@@ -313,8 +331,14 @@ def hardy_endpoint_sweep(
         raise ConfigurationError("ladder must be non-empty")
     if min(min(pair) for pair in ladder) <= 0:
         raise ConfigurationError(f"ladder (eps, lambda) pairs must be positive, got {ladder}")
-    s_grid = make_radial_grid(k, R, n_s, "geometric", first_width=1e-3)
     lam_max = max(lam for _, lam in ladder)
+    log_lam_limit = (LOG_FLOAT_MAX - log_sigma - k * log_r_max) / m
+    if not math.log(lam_max) < log_lam_limit:
+        raise ConfigurationError(
+            f"ladder lambdas must have log(lambda) < {log_lam_limit:.6g} for N = {params.N} and "
+            f"log_r_max = {log_r_max} (the grid's volume overflows), got lambda = {lam_max:g}"
+        )
+    s_grid = make_radial_grid(k, R, n_s, "geometric", first_width=1e-3)
     t_grid = make_radial_grid(m, 1.05 * lam_max, n_t, "uniform")
     grid = CylGrid(s_grid, t_grid)
 
@@ -333,6 +357,7 @@ def hardy_endpoint_sweep(
         v = eps_family_truncated(eps, p, -p, s_grid)
         u = product_family(v, w, lam, grid)
         rep = hs_quotient(u, params)
+        del u, v  # free this rung before product_family builds the next
         rows.append(
             {
                 "eps": eps,

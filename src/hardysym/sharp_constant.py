@@ -175,7 +175,7 @@ def convexity_bound(s, t, lam, p):
         raise DomainError("p > 1 violated")
     if np.any(s < 0) or np.any(t < 0):
         raise DomainError("s, t >= 0 violated")
-    lhs = (s * s + t * t) ** (p / 2.0)
+    lhs = np.hypot(s, t) ** p  # s * s underflows to a subnormal below s ~ 1e-154
     rhs = (1.0 - lam) ** (1.0 - p) * s**p + lam ** (1.0 - p) * t**p
     return lhs, rhs
 

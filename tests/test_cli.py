@@ -245,6 +245,16 @@ def test_out_of_range_grid_flag_named(tmp_path, capsys, args, key):
     assert capsys.readouterr().err.split()[1] == key
 
 
+def test_ladder_overflowing_the_t_grid_rejected(tmp_path, capsys):
+    # the t-grid reaches 1.05 max(lambda): at 1e300 its cell measures overflow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ladder": [[0.1, 1e300]], "n_s": 64, "n_t": 16}))
+    code = run(["product-sweep", "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.split()[1] == "ladder"
+    assert not list(tmp_path.glob("product_sweep.*"))
+
+
 def test_config_int_accepted_for_float_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 2, "alpha": -2, "k": 3}))

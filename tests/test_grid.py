@@ -18,7 +18,7 @@ from hardysym import (
     sphere_area,
     weighted_dirichlet,
 )
-from hardysym.grid import BLOCK_CELLS, StaggeredGradient
+from hardysym.grid import BLOCK_CELLS, DirichletEnergy, StaggeredGradient
 
 GRADINGS = [
     ("uniform", {}),
@@ -286,6 +286,92 @@ def test_eight_power_of_two_blocks_add_in_whole_array_order():
     s_weight = grid.s_grid.cell_measures
     energy = StaggeredGradient(grid, True).energy(values, 2.0, s_weight)
     assert energy == whole_array_energy(grid, True, values, 2.0, s_weight, 0.0)
+
+
+def whole_array_gradient(grid, wall, values, p, s_weight, delta):
+    """StaggeredGradient.gradient written out on whole arrays: the cell
+    density's psi = (p/2) (|grad u|^2 + delta^2)^(p/2 - 1) * weight, spread
+    by halves onto the edges of each cell, times twice the edge gradient,
+    then back through the transposed differences."""
+    ns, nt = values.shape
+
+    def inverse_spacings(radial):
+        gaps = np.diff(radial.nodes)
+        if wall:
+            gaps = np.concatenate((gaps, [radial.r_max - radial.nodes[-1]]))
+        return 1.0 / gaps
+
+    def spread(cell, axis):
+        zero = np.zeros_like(np.take(cell, [0], axis=axis))
+        return 0.5 * (np.concatenate((cell, zero), axis) + np.concatenate((zero, cell), axis))
+
+    inv_ds = inverse_spacings(grid.s_grid)
+    gs = np.zeros((ns + 1, nt))
+    gs[1:ns] = (values[1:] - values[:-1]) * inv_ds[: ns - 1, None]
+    if wall:
+        gs[ns] = -values[-1] * inv_ds[-1]
+    g2 = 0.5 * (gs[:-1] ** 2 + gs[1:] ** 2)
+    if grid.t_grid is not None:
+        inv_dt = inverse_spacings(grid.t_grid)
+        gt = np.zeros((ns, nt + 1))
+        gt[:, 1:nt] = (values[:, 1:] - values[:, :-1]) * inv_dt[: nt - 1]
+        if wall:
+            gt[:, nt] = -values[:, -1] * inv_dt[-1]
+        g2 += 0.5 * (gt[:, :-1] ** 2 + gt[:, 1:] ** 2)
+    g2 += delta**2
+    psi = 0.5 * p * g2 ** (p / 2.0 - 1.0) * (s_weight[:, None] * grid.t_measures)
+    flux_s = 2.0 * spread(psi, 0) * gs
+    flux_s[1 : 1 + len(inv_ds)] *= inv_ds[:, None]
+    grad = flux_s[:-1] - flux_s[1:]
+    if grid.t_grid is not None:
+        flux_t = 2.0 * spread(psi, 1) * gt
+        flux_t[:, 1 : 1 + len(inv_dt)] *= inv_dt
+        grad += flux_t[:, :-1]
+        grad -= flux_t[:, 1:]
+    return grad
+
+
+PARITY_GRIDS = {
+    # the radial benchmark grid, a one-block cylinder, and four row blocks
+    "radial": lambda: CylGrid(make_radial_grid(3, 1000.0, 200, "geometric", first_width=1e-2)),
+    "cylinder": lambda: CylGrid(make_radial_grid(2, 8.0, 96, "uniform"), make_radial_grid(2, 8.0, 80, "uniform")),
+    "blocks": lambda: CylGrid(
+        make_radial_grid(2, 6.0, 3 * (BLOCK_CELLS // 64) + 5, "geometric", ratio=1.001),
+        make_radial_grid(2, 4.0, 64, "uniform"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_GRIDS))
+@pytest.mark.parametrize("p, delta", [(2.0, 0.0), (3.0, 1e-3)])
+def test_state_energy_and_gradient_are_bit_identical(name, p, delta):
+    # a descent reads the energy and its gradient off one state per candidate:
+    # they must be exactly those computed from the values, for any state
+    # still held after other states were made and read
+    grid = PARITY_GRIDS[name]()
+    gradient = StaggeredGradient(grid, True)
+    s_weight = grid.s_grid.cell_measures
+    dirichlet = DirichletEnergy(gradient, p, s_weight, delta)
+    first, second = bumpy(grid, 1), bumpy(grid, 2)
+    states = [dirichlet.state(first), dirichlet.state(second)]
+    for _ in range(2):
+        for values, state in zip((first, second), states):
+            energy = dirichlet.energy(state)
+            assert energy == gradient.energy(values, p, s_weight, delta)
+            if values.size <= BLOCK_CELLS:
+                assert energy == whole_array_energy(grid, True, values, p, s_weight, delta)
+            expected = whole_array_gradient(grid, True, values, p, s_weight, delta)
+            assert np.array_equal(dirichlet.gradient(state), expected)
+            assert np.array_equal(gradient.gradient(values, p, s_weight, delta), expected)
+
+
+@pytest.mark.parametrize("name", ["radial", "cylinder"])
+def test_wall_stiffness_is_positive_definite(name):
+    # the Dirichlet wall edge alone makes each 1-D p = 2 stiffness SPD
+    grid = PARITY_GRIDS[name]()
+    gradient = StaggeredGradient(grid, True)
+    for axis in range(1 if grid.t_grid is None else 2):
+        np.linalg.cholesky(gradient.stiffness(axis).toarray())
 
 
 def test_dirichlet_single_cell_errors():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hardysym import (
     symmetrize_and_compare,
     weighted_dirichlet,
 )
-from hardysym.grid import StaggeredGradient
+from hardysym.grid import DirichletEnergy, StaggeredGradient
 from hardysym.minimizer import _build_preconditioner
 
 HS_PARAMS = Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
@@ -146,6 +147,55 @@ def test_trace_constraint_is_hs_constraint(params, grid):
     assert tr.constraints[-1] == hs_constraint(tr.final_u, params)
 
 
+class RecordingEnergy(DirichletEnergy):
+    """Remembers the values behind each state, and for each gradient call
+    the values behind its state and the gradient returned."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.values, self.calls = {}, []
+
+    def state(self, values):
+        state = super().state(values)
+        self.values[id(state)] = values
+        return state
+
+    def gradient(self, state):
+        grad = super().gradient(state)
+        self.calls.append((self.values[id(state)], grad))
+        return grad
+
+
+@pytest.mark.parametrize(
+    "params, grid",
+    [
+        (HS_PARAMS, hs_grid(24)),
+        (Params.hardy_sobolev(N=4, k=2, p=3, beta=1), hs_grid(24)),
+        (
+            Params.hardy_sobolev(N=3, k=3, p=2, beta=1),
+            CylGrid(make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2)),
+        ),
+    ],
+)
+def test_each_gradient_is_that_of_the_accepted_iterate(monkeypatch, params, grid):
+    # the descent reuses the accepted candidate's state: iteration k's
+    # gradient must be, bit for bit, the gradient of iterate k itself
+    made = []
+
+    def recording(*args):
+        made.append(RecordingEnergy(*args))
+        return made[-1]
+
+    monkeypatch.setattr("hardysym.minimizer.DirichletEnergy", recording)
+    tr = minimize_hs(params, grid, opts=DescentOptions(max_iter=40))
+    (dirichlet,) = made
+    assert len(dirichlet.calls) >= len(tr.quotients) - 1 >= 10
+    operator, s_weight = StaggeredGradient(grid, True), grid.s_grid.cell_measures
+    for energy, (values, grad) in zip(tr.energies, dirichlet.calls):
+        assert operator.energy(values, params.p, s_weight, tr.delta_reg) == energy
+        assert np.array_equal(grad, operator.gradient(values, params.p, s_weight, tr.delta_reg))
+
+
 def test_grid_not_matching_params_rejected():
     # N=4, k=2 params on a (k, m) = (3, 3) grid
     g = CylGrid(make_radial_grid(3, 8.0, 16, "uniform"), make_radial_grid(3, 8.0, 16, "uniform"))
@@ -225,6 +275,21 @@ def test_endpoint_sweep_monotone_toward_target():
     assert all(a > b for a, b in zip(quotients, quotients[1:]))
     assert rows[-1]["target"] == pytest.approx(0.25)
     assert rows[-1]["rel_gap"] > 0
+
+
+def test_endpoint_sweep_holds_one_rung_at_a_time():
+    # a rung is one n_s x n_t float64 product function; the energy's row
+    # blocks add a few 512 KB arrays, a second rung alive would add 8 MB
+    params = Params.hardy_sobolev(N=4, k=3, p=2, beta=2)
+    n_s, n_t = 2048, 512
+    tracemalloc.start()
+    try:
+        rows = hardy_endpoint_sweep(params, n_s=n_s, n_t=n_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 5
+    assert peak < 1.5 * n_s * n_t * 8
 
 
 def test_endpoint_sweep_validation():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardysym import (
@@ -120,6 +120,7 @@ def test_convexity_bound_approaches_equality_at_degenerate_boundary():
     lam=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     p=st.floats(min_value=1.0 + 1e-6, max_value=6.0),
 )
+@example(s=2.051014302081488e-158, t=0.0, lam=1e-06, p=1.001953125)  # s * s is subnormal
 @settings(max_examples=300, deadline=None)
 def test_convexity_bound_property(s, t, lam, p):
     lhs, rhs = convexity_bound(s, t, lam, p)
