@@ -3,13 +3,12 @@ weight |y| and for symmetrization of the associated Hardy-Sobolev
 minimization problem.
 
 Modules:
-    grid            radial and cylindrical grids, grid functions, the staggered
-                    edge gradient with its energy, adjoint gradient, stiffness
+    grid            radial and cylindrical grids, grid functions, the discrete
+                    Dirichlet energy with its gradient and stiffness
     functionals     weighted norms, Dirichlet energies, Rayleigh quotients
     sharp_constant  closed-form constants and the sharpness test families
     rearrange       decreasing rearrangement and double Schwarz symmetrization
-    minimizer       projected descent on the constrained quotient, on the
-                    staggered energy
+    minimizer       projected descent on the constrained quotient
     cli             experiment runner (`hardysym` console script)
 """
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParameterError, UsageError
-from .grid import CylGrid, GridFunction, StaggeredGradient, as_2d, sum_over_row_blocks
+from .grid import CylGrid, DirichletEnergy, GridFunction, as_2d, sum_over_row_blocks
 
 __all__ = [
     "Params",
@@ -27,7 +27,8 @@ class Params:
 
     Hardy mode is active when alpha is set (requires alpha + k > 0);
     Hardy-Sobolev mode when beta is set, and then q is always derived from
-    (N, p, beta) via condition (H): q = p (N - beta) / (N - p).
+    (N, p, beta) via condition (H): q = p (N - beta) / (N - p).  q is not a
+    constructor argument.
     """
 
     N: int
@@ -35,7 +36,7 @@ class Params:
     p: float
     alpha: Optional[float] = None
     beta: Optional[float] = None
-    q: Optional[float] = None
+    q: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -57,12 +58,7 @@ class Params:
                 raise ParameterError("beta < k violated")
             if not self.beta <= self.p:
                 raise ParameterError("beta <= p violated")
-            q = self.p * (self.N - self.beta) / (self.N - self.p)
-            if self.q is not None and abs(self.q - q) > 1e-12 * max(1.0, q):
-                raise ParameterError(
-                    f"q = p(N - beta)/(N - p) violated: expected {q}, got {self.q}"
-                )
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", self.p * (self.N - self.beta) / (self.N - self.p))
 
     @classmethod
     def hardy(cls, N: int, k: int, p: float, alpha: float) -> "Params":
@@ -114,7 +110,7 @@ def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
 
 
 def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) -> float:
-    """integral of |grad u|^p |y|^a, with the gradient of StaggeredGradient.
+    """integral of |grad u|^p |y|^a: the energy of DirichletEnergy.
 
     The outer end of each radius is natural by default; `wall=True` adds the
     Dirichlet wall edge that joins the last cell to zero at r_max.
@@ -123,7 +119,7 @@ def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) 
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
     s_weight = grid.s_grid.weight_average(a) * grid.s_grid.cell_measures
-    return StaggeredGradient(grid, wall).energy(values, p, s_weight)
+    return DirichletEnergy(grid, wall, p, s_weight).energy(values)
 
 
 def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "radial_grid_from_edges",
     "as_2d",
     "integrate",
-    "StaggeredGradient",
     "DirichletEnergy",
     "BLOCK_CELLS",
     "sum_over_row_blocks",
@@ -375,26 +375,30 @@ def _spread(cell: np.ndarray, axis: int) -> np.ndarray:
     return 0.5 * (np.concatenate((cell, zero), axis) + np.concatenate((zero, cell), axis))
 
 
-class StaggeredGradient:
-    """The discrete gradient and the Dirichlet energy built on it: forward
-    differences on cell edges.
+class DirichletEnergy:
+    """The discrete p-Dirichlet energy, the sum over cells of
+    (|grad u|^2 + delta^2)^(p/2) * s_weight[i] * t_measures[j], with its exact
+    gradient and its p = 2 stiffness.
 
-    Along each radius the edges are the origin edge, the interior edges
-    between neighbouring cells, and an outer edge at r_max.  The origin edge
-    carries zero gradient (radial symmetry).  With `wall` the outer edge joins
-    the last cell to the Dirichlet zero boundary; without it the outer edge
-    carries zero gradient (natural end).  Squared edge gradients averaged onto
-    the two edges of each cell give |grad u|^2 per cell.  Unlike centred
-    differences, this scheme has no oscillatory null mode.  The energy's
-    gradient and p = 2 stiffness are adjoints of these differences and average.
+    grad u is taken by forward differences on cell edges.  Along each
+    radius the edges are the origin edge, the interior edges between
+    neighbouring cells, and an outer edge at r_max.  The origin edge carries
+    zero gradient (radial symmetry).  With `wall` the outer edge joins the
+    last cell to the Dirichlet zero boundary; without it the outer edge
+    carries zero gradient (natural end).  Squared edge gradients averaged
+    onto the two edges of each cell give |grad u|^2 per cell.  Unlike
+    centred differences, this scheme has no oscillatory null mode.
+
+    `energy(values)` is the one-shot energy, summed by row blocks.  A descent
+    instead keeps one `density(values)` state per cell array and reads both
+    `state_energy(state)` and `gradient(state)` off it.
     """
 
-    def __init__(self, grid: CylGrid, wall: bool):
+    def __init__(self, grid: CylGrid, wall: bool, p: float, s_weight: np.ndarray, delta: float = 0.0):
         if not wall and (grid.s_grid.n < 2 or (grid.t_grid is not None and grid.t_grid.n < 2)):
             raise UsageError("a natural-end gradient needs at least 2 cells along each radius")
-        self.grid = grid
+        self.grid, self.wall, self.p, self.s_weight, self.delta = grid, wall, p, s_weight, delta
         self.t_measures = grid.t_measures
-        self.wall = wall
         self.inv_ds = _inverse_spacings(grid.s_grid, wall)
         self.inv_dt = None if grid.t_grid is None else _inverse_spacings(grid.t_grid, wall)
 
@@ -426,7 +430,7 @@ class StaggeredGradient:
             gt[:, nt] = -block[:, -1] * self.inv_dt[-1]
         return gs, gt
 
-    def density(self, values: np.ndarray, delta: float = 0.0, rows: Optional[tuple] = None) -> tuple:
+    def density(self, values: np.ndarray, rows: Optional[tuple] = None) -> tuple:
         """(gs, gt, g2) for the window `rows` of `edges`: its edge gradients,
         and per cell g2 = |grad u|^2 + delta^2, with |grad u|^2 the squared
         edge gradients averaged over the two edges of the cell along each
@@ -441,33 +445,40 @@ class StaggeredGradient:
             half_t = sq[:, :-1] + sq[:, 1:]
             half_t *= 0.5
             g2 += half_t
-        if delta:
-            g2 += delta**2
+        if self.delta:
+            g2 += self.delta**2
         return gs, gt, g2
 
-    def energy(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> float:
-        """sum of (|grad u|^2 + delta^2)^(p/2) * s_weight[i] * t_measures[j]
-        over the cells, by row blocks (sum_over_row_blocks), so that no
-        temporary is larger than a block."""
+    def energy(self, values: np.ndarray) -> float:
+        """The energy of (ns, nt) cell values, summed by row blocks
+        (sum_over_row_blocks) so that no temporary is larger than a block."""
 
         def block_energy(i0, i1):
-            g2 = self.density(values, delta, (i0, i1))[2]
-            return _power_sum(g2, p, s_weight[i0:i1, None] * self.t_measures)
+            return self._power_sum(self.density(values, (i0, i1))[2], self.s_weight[i0:i1, None] * self.t_measures)
 
         return sum_over_row_blocks(values.shape, block_energy)
 
-    def gradient(self, values: np.ndarray, p: float, s_weight: np.ndarray, delta: float = 0.0) -> np.ndarray:
-        """The exact gradient of `energy` with respect to the cell values."""
-        energy = DirichletEnergy(self, p, s_weight, delta)
-        return energy.gradient(energy.state(values))
+    def state_energy(self, state: tuple) -> float:
+        """The energy of the values behind a kept `density(values)` state,
+        summed over the row blocks of `energy`."""
+        g2 = state[2]
+        return sum_over_row_blocks(g2.shape, lambda i0, i1: self._power_sum(g2[i0:i1], self._weight[i0:i1]))
 
-    def adjoint(self, flux_s: np.ndarray, flux_t) -> np.ndarray:
-        """Cell values of the transposed differences of `edges` applied to
-        edge fluxes laid out as its (gs, gt), which vanish on the edges whose
-        gradient `edges` fixes at zero.  The fluxes are overwritten."""
+    def gradient(self, state: tuple) -> np.ndarray:
+        """The energy's exact gradient at the values behind a `density(values)`
+        state: psi = (p/2) g2^(p/2 - 1) * weight per cell, spread to the edges
+        (_flux_weights) and times the edge gradients, then the transposed
+        differences of `edges`."""
+        gs, gt, g2 = state
+        if self.p == 2.0 and not self.delta:
+            weight_s, weight_t = self._p2_flux_weights
+        else:
+            weight_s, weight_t = self._flux_weights(0.5 * self.p * g2 ** (self.p / 2.0 - 1.0) * self._weight)
+        flux_s = weight_s * gs
         flux_s[1 : 1 + len(self.inv_ds)] *= self.inv_ds[:, None]
         grad = flux_s[:-1] - flux_s[1:]
-        if flux_t is not None:
+        if gt is not None:
+            flux_t = weight_t * gt
             flux_t[:, 1 : 1 + len(self.inv_dt)] *= self.inv_dt
             grad += flux_t[:, :-1]
             grad -= flux_t[:, 1:]
@@ -481,54 +492,27 @@ class StaggeredGradient:
         D = sp.diags([-np.append(inv_d, 0.0)[:n], np.append(0.0, inv_d)[:n]], [-1, 0], shape=(n + 1, n))
         return (D.T @ sp.diags(_spread(radial.cell_measures, 0)) @ D).tocsr()
 
+    def _power_sum(self, g2: np.ndarray, weight: np.ndarray) -> float:
+        """sum of g2^(p/2) * weight over a block of cells."""
+        density = g2 ** (self.p / 2.0)
+        density *= weight
+        return density.sum()
 
-def _power_sum(g2: np.ndarray, p: float, weight: np.ndarray) -> float:
-    """sum of g2^(p/2) * weight over a block of cells."""
-    density = g2 ** (p / 2.0)
-    density *= weight
-    return density.sum()
+    # The descent's loop invariants, formed on its first use: a one-shot
+    # `energy` forms only block-sized weights.
+    @cached_property
+    def _weight(self) -> np.ndarray:
+        """The whole-grid cell weight s_weight[i] * t_measures[j]."""
+        return self.s_weight[:, None] * self.t_measures
 
-
-class DirichletEnergy:
-    """StaggeredGradient.energy and .gradient at a fixed p, s_weight and
-    delta, both read off one state per cell array.
-
-    A descent evaluates them thousands of times, so the loop invariants are
-    formed once: the cell weight s_weight[i] * t_measures[j] and, at p = 2
-    with delta = 0, where psi = 0.5 p g2^(p/2 - 1) * weight is exactly the
-    weight, the flux weights 2 * spread(psi).  `state(values)` is
-    StaggeredGradient.density of the whole array; `energy(state)` sums over
-    the row blocks of StaggeredGradient.energy, and both `energy` and
-    `gradient` keep its arithmetic and order, so they agree with
-    StaggeredGradient.energy(values, ...) and .gradient(values, ...) bit for
-    bit.
-    """
-
-    def __init__(self, operator: StaggeredGradient, p: float, s_weight: np.ndarray, delta: float = 0.0):
-        self.operator, self.p, self.delta = operator, p, delta
-        self.weight = s_weight[:, None] * operator.t_measures
-        self.flux_weights = self._flux_weights(self.weight) if p == 2.0 and not delta else None
+    @cached_property
+    def _p2_flux_weights(self) -> tuple:
+        """The flux weights at p = 2 with delta = 0, where psi is exactly the weight."""
+        return self._flux_weights(self._weight)
 
     def _flux_weights(self, psi: np.ndarray) -> tuple:
         """2 * spread(psi) along s and t: the chain rule back through the cell average."""
-        return 2.0 * _spread(psi, 0), None if self.operator.inv_dt is None else 2.0 * _spread(psi, 1)
-
-    def state(self, values: np.ndarray) -> tuple:
-        """(gs, gt, g2) of the whole array: see StaggeredGradient.density."""
-        return self.operator.density(values, self.delta)
-
-    def energy(self, state: tuple) -> float:
-        """The energy of the values behind `state`."""
-        g2 = state[2]
-        return sum_over_row_blocks(g2.shape, lambda i0, i1: _power_sum(g2[i0:i1], self.p, self.weight[i0:i1]))
-
-    def gradient(self, state: tuple) -> np.ndarray:
-        """The energy's gradient at the values behind `state`."""
-        gs, gt, g2 = state
-        flux_s, flux_t = self.flux_weights or self._flux_weights(
-            0.5 * self.p * g2 ** (self.p / 2.0 - 1.0) * self.weight
-        )
-        return self.operator.adjoint(flux_s * gs, None if gt is None else flux_t * gt)
+        return 2.0 * _spread(psi, 0), None if self.inv_dt is None else 2.0 * _spread(psi, 1)
 
 
 def grid_function_to_csv(u: GridFunction, path) -> None:

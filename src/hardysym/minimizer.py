@@ -4,7 +4,6 @@ experiment and the beta = p endpoint sweep."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -15,7 +14,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, UsageError
 from .functionals import Params, hs_constraint, hs_quotient
-from .grid import CylGrid, DirichletEnergy, GridFunction, StaggeredGradient, make_radial_grid, sphere_area
+from .grid import CylGrid, DirichletEnergy, GridFunction, make_radial_grid, sphere_area
 from .rearrange import double_star
 from .sharp_constant import eps_family_truncated, product_family
 
@@ -75,9 +74,6 @@ class MinimizationTrace:
             "meta": self.meta,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFunction:
     """Centered product bump exp(-s^2 - t^2); "random" adds seeded smooth
@@ -115,9 +111,9 @@ def _generalized_eigh(A: sp.csr_matrix, measures: np.ndarray):
     return lam, h[:, None] * Q
 
 
-def _build_preconditioner(grid: CylGrid, gradient: StaggeredGradient):
-    """H1-type preconditioner As⊗Mt + Ms⊗At + Ms⊗Mt: staggered stiffness
-    (p = 2 coefficients) plus the diagonal cell-measure mass.
+def _build_preconditioner(grid: CylGrid, dirichlet: DirichletEnergy):
+    """H1-type preconditioner As⊗Mt + Ms⊗At + Ms⊗Mt: the energy's p = 2
+    stiffness along each axis plus the diagonal cell-measure mass.
 
     The wall edge already makes each 1-D stiffness positive definite, so
     the matrix is symmetric positive definite and the preconditioned
@@ -130,12 +126,12 @@ def _build_preconditioner(grid: CylGrid, gradient: StaggeredGradient):
     """
     ms = grid.s_grid.cell_measures
     mt = grid.t_measures
-    As = gradient.stiffness(0)
+    As = dirichlet.stiffness(0)
     if grid.t_grid is None:
         lu = splu((sp.kron(As, sp.diags(mt)) + sp.diags(np.outer(ms, mt).ravel())).tocsc())
         return lambda R: lu.solve(R.ravel()).reshape(R.shape)
     lam_s, Vs = _generalized_eigh(As, ms)
-    lam_t, Vt = _generalized_eigh(gradient.stiffness(1), mt)
+    lam_t, Vt = _generalized_eigh(dirichlet.stiffness(1), mt)
     denom = lam_s[:, None] + lam_t[None, :] + 1.0
     return lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T
 
@@ -148,15 +144,14 @@ def minimize_hs(
 ) -> MinimizationTrace:
     """Projected descent for S = inf { int |grad u|^p : int |u|^q / |y|^beta = 1 }.
 
-    The Dirichlet energy is that of StaggeredGradient, with the zero
-    boundary at r_max built into the wall edges.  Each step moves against
-    the constrained energy gradient, preconditioned by an H1 solve,
-    re-imposes nonnegativity, and rescales back onto the constraint set.  A
-    step is accepted only if the quotient does not increase; backtracking
-    halves the step size.  Convergence is declared on relative quotient
-    stagnation.  Each candidate's edge gradients and cell density are
-    computed once (DirichletEnergy.state): its energy is read off them, and
-    the accepted candidate's feed the next gradient.
+    The Dirichlet energy is a DirichletEnergy with the zero boundary at
+    r_max built into the wall edges.  Each step moves against the
+    constrained energy gradient, preconditioned by an H1 solve, re-imposes
+    nonnegativity, and rescales back onto the constraint set.  A step is
+    accepted only if the quotient does not increase; backtracking halves the
+    step size.  Convergence is declared on relative quotient stagnation.
+    Each candidate's density state is computed once: its energy is read off
+    it, and the accepted candidate's feeds the next gradient.
     """
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
@@ -176,9 +171,8 @@ def minimize_hs(
 
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
-    gradient = StaggeredGradient(grid, wall=True)
-    dirichlet = DirichletEnergy(gradient, p, grid.s_grid.cell_measures, delta)
-    solve = _build_preconditioner(grid, gradient)
+    dirichlet = DirichletEnergy(grid, wall=True, p=p, s_weight=grid.s_grid.cell_measures, delta=delta)
+    solve = _build_preconditioner(grid, dirichlet)
     trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
 
     def constraint(V):
@@ -198,8 +192,8 @@ def minimize_hs(
             raise DegenerateInputError("cannot project: constraint integral is zero")
         V *= c ** (-1.0 / q)
         c = constraint(V)
-        state = dirichlet.state(V)
-        e = dirichlet.energy(state)
+        state = dirichlet.density(V)
+        e = dirichlet.state_energy(state)
         return c, state, e, e / c ** (p / q)
 
     U = np.maximum(u0.values, 0.0)
@@ -292,8 +286,9 @@ def hardy_endpoint_sweep(
     geometric, with an origin cell of width 1e-3, out to r_max =
     exp(log_r_max), and the spreading scales are proportional to r_max.  The
     bump is sampled on 1024 cells of [0, 1].  A ConfigurationError names
-    n_s or n_t below 2, an n_t too coarse to sample the narrowest bump, and
-    a log_r_max or a ladder whose grid volume, of order
+    n_s or n_t below 2, an n_t too coarse to sample the narrowest bump, a
+    log_r_max <= 0 (the plateau family needs r_max > 1), and a log_r_max or
+    a ladder whose grid volume, of order
     r_max^k (1.05 lambda_max)^m, overflows float64.  Each rung's product
     function is released before the next one is built, so the sweep holds
     one grid function at a time.
@@ -308,6 +303,8 @@ def hardy_endpoint_sweep(
     for key, n in (("n_s", n_s), ("n_t", n_t)):
         if n < 2:
             raise ConfigurationError(f"{key} must be >= 2 (the quotient's energy needs 2 cells per radius), got {n}")
+    if not log_r_max > 0:
+        raise ConfigurationError(f"log_r_max must be > 0 (the plateau family needs r_max > 1), got {log_r_max}")
     # the measure sums reach the volume of the R x 1.05 lambda_max cylinder,
     # sigma_k/k R^k sigma_m/m (1.05 lambda_max)^m; the default ladder has lambda_max = R
     log_sigma = math.log(sphere_area(k) / k * sphere_area(m) / m * 1.05**m)

@@ -236,6 +236,9 @@ def test_negative_count_flag_rejected(tmp_path, capsys, args, key):
         # R = exp(log_r_max): at 240 the cell measures overflow to nan, at 1000 R itself
         (["product-sweep", "--log-r-max", "240"], "log_r_max"),
         (["product-sweep", "--log-r-max", "1000"], "log_r_max"),
+        # R = exp(log_r_max) <= 1 leaves the plateau family no room
+        (["product-sweep", "--log-r-max", "-5", "--n-s", "64", "--n-t", "16"], "log_r_max"),
+        (["product-sweep", "--log-r-max", "0", "--n-s", "64", "--n-t", "16"], "log_r_max"),
     ],
 )
 def test_out_of_range_grid_flag_named(tmp_path, capsys, args, key):

@@ -56,7 +56,6 @@ def test_params_hs_mode_derives_q():
         (dict(N=4, k=2, p=2, beta=-1), "beta >= 0"),
         (dict(N=4, k=1, p=2, beta=1), "beta < k"),
         (dict(N=4, k=3, p=2, beta=2.5), "beta <= p"),
-        (dict(N=4, k=2, p=2, beta=1, q=5), "q = p(N - beta)/(N - p)"),
     ],
 )
 def test_params_named_clause_errors(kwargs, clause):
@@ -64,6 +63,12 @@ def test_params_named_clause_errors(kwargs, clause):
 
     with pytest.raises(ParameterError, match=re.escape(clause)):
         Params(**kwargs)
+
+
+def test_params_q_is_not_a_constructor_argument():
+    # q is always derived from (N, p, beta), so there is nothing to pass
+    with pytest.raises(TypeError):
+        Params(N=4, k=2, p=2, beta=1, q=3)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hardysym import (
     sphere_area,
     weighted_dirichlet,
 )
-from hardysym.grid import BLOCK_CELLS, DirichletEnergy, StaggeredGradient
+from hardysym.grid import BLOCK_CELLS, DirichletEnergy
 
 GRADINGS = [
     ("uniform", {}),
@@ -195,20 +195,20 @@ def test_energy_gradient_is_exact_adjoint(grid, wall):
     t = grid.t_nodes[None, :]
     U = np.exp(-(s**2) / 9.0 - t**2 / 4.0) * (1.0 + 0.1 * rng.uniform(size=grid.shape))
     V = rng.standard_normal(grid.shape)
-    gradient = StaggeredGradient(grid, wall)
     s_weight = grid.s_grid.weight_average(1.0) * grid.s_grid.cell_measures
     for p, delta in ((3.0, 1e-3), (2.0, 0.0)):
-        energy = gradient.energy(U, p, s_weight, delta)
-        grad = gradient.gradient(U, p, s_weight, delta)
+        dirichlet = DirichletEnergy(grid, wall, p, s_weight, delta)
+        energy = dirichlet.energy(U)
+        grad = dirichlet.gradient(dirichlet.density(U))
         h = 1e-5
-        slope = (gradient.energy(U + h * V, p, s_weight, delta) - gradient.energy(U - h * V, p, s_weight, delta)) / (2 * h)
+        slope = (dirichlet.energy(U + h * V) - dirichlet.energy(U - h * V)) / (2 * h)
         assert slope == pytest.approx(float(np.sum(grad * V)), rel=1e-6)
         if p == 2.0:
             assert energy == pytest.approx(0.5 * float(np.sum(grad * U)), rel=1e-12)
 
 
 def whole_array_energy(grid, wall, values, p, s_weight, delta):
-    """StaggeredGradient.energy written out on whole arrays: one difference
+    """DirichletEnergy.energy written out on whole arrays: one difference
     per edge (origin edge zero, outer edge the wall or zero), squared,
     averaged onto cells, weighted and summed once."""
     ns, nt = values.shape
@@ -256,7 +256,7 @@ def test_blocked_energy_matches_whole_array(wall, p, delta):
     grid = CylGrid(make_radial_grid(2, 6.0, ns, "geometric", ratio=1.001), make_radial_grid(2, 4.0, nt, "uniform"))
     values = bumpy(grid, 11)
     s_weight = grid.s_grid.weight_average(1.0) * grid.s_grid.cell_measures
-    energy = StaggeredGradient(grid, wall).energy(values, p, s_weight, delta)
+    energy = DirichletEnergy(grid, wall, p, s_weight, delta).energy(values)
     assert energy == pytest.approx(whole_array_energy(grid, wall, values, p, s_weight, delta), rel=1e-13)
 
 
@@ -271,7 +271,7 @@ def test_single_block_energy_is_whole_array_arithmetic(wall, p, delta):
     for grid, values in ((cyl, bumpy(cyl, 5)), (cyl, fortran), (radial, bumpy(radial, 6))):
         assert values.size <= BLOCK_CELLS
         s_weight = grid.s_grid.cell_measures
-        energy = StaggeredGradient(grid, wall).energy(values, p, s_weight, delta)
+        energy = DirichletEnergy(grid, wall, p, s_weight, delta).energy(values)
         assert energy == whole_array_energy(grid, wall, values, p, s_weight, delta)
 
 
@@ -284,12 +284,12 @@ def test_eight_power_of_two_blocks_add_in_whole_array_order():
     # rounded (math.fsum), gives a different last bit than the pairwise order
     values = np.random.default_rng(0).uniform(size=grid.shape)
     s_weight = grid.s_grid.cell_measures
-    energy = StaggeredGradient(grid, True).energy(values, 2.0, s_weight)
+    energy = DirichletEnergy(grid, True, 2.0, s_weight).energy(values)
     assert energy == whole_array_energy(grid, True, values, 2.0, s_weight, 0.0)
 
 
 def whole_array_gradient(grid, wall, values, p, s_weight, delta):
-    """StaggeredGradient.gradient written out on whole arrays: the cell
+    """DirichletEnergy.gradient written out on whole arrays: the cell
     density's psi = (p/2) (|grad u|^2 + delta^2)^(p/2 - 1) * weight, spread
     by halves onto the edges of each cell, times twice the edge gradient,
     then back through the transposed differences."""
@@ -349,29 +349,28 @@ def test_state_energy_and_gradient_are_bit_identical(name, p, delta):
     # they must be exactly those computed from the values, for any state
     # still held after other states were made and read
     grid = PARITY_GRIDS[name]()
-    gradient = StaggeredGradient(grid, True)
     s_weight = grid.s_grid.cell_measures
-    dirichlet = DirichletEnergy(gradient, p, s_weight, delta)
+    dirichlet = DirichletEnergy(grid, True, p, s_weight, delta)
     first, second = bumpy(grid, 1), bumpy(grid, 2)
-    states = [dirichlet.state(first), dirichlet.state(second)]
+    states = [dirichlet.density(first), dirichlet.density(second)]
     for _ in range(2):
         for values, state in zip((first, second), states):
-            energy = dirichlet.energy(state)
-            assert energy == gradient.energy(values, p, s_weight, delta)
+            energy = dirichlet.state_energy(state)
+            assert energy == dirichlet.energy(values)
             if values.size <= BLOCK_CELLS:
                 assert energy == whole_array_energy(grid, True, values, p, s_weight, delta)
             expected = whole_array_gradient(grid, True, values, p, s_weight, delta)
             assert np.array_equal(dirichlet.gradient(state), expected)
-            assert np.array_equal(gradient.gradient(values, p, s_weight, delta), expected)
+            assert np.array_equal(dirichlet.gradient(dirichlet.density(values)), expected)
 
 
 @pytest.mark.parametrize("name", ["radial", "cylinder"])
 def test_wall_stiffness_is_positive_definite(name):
     # the Dirichlet wall edge alone makes each 1-D p = 2 stiffness SPD
     grid = PARITY_GRIDS[name]()
-    gradient = StaggeredGradient(grid, True)
+    dirichlet = DirichletEnergy(grid, True, 2.0, grid.s_grid.cell_measures)
     for axis in range(1 if grid.t_grid is None else 2):
-        np.linalg.cholesky(gradient.stiffness(axis).toarray())
+        np.linalg.cholesky(dirichlet.stiffness(axis).toarray())
 
 
 def test_dirichlet_single_cell_errors():

@@ -1,7 +1,9 @@
-"""The project declares no linter, so this test guards one lint rule: every
-package module other than `__init__` uses each name it imports.  The
+"""The project declares no linter, so these tests guard two lint rules.
+Every package module other than `__init__` uses each name it imports: the
 benchmark's tracer wraps names such as `hardysym.minimizer.hs_constraint`,
-and an import kept only for it would time nothing."""
+and an import kept only for it would time nothing.  And every private
+module-level function or method is referenced somewhere in the package, so
+dead helpers are deleted rather than kept beside their replacements."""
 
 import ast
 from pathlib import Path
@@ -23,6 +25,24 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def unreferenced_private_definitions(sources) -> list:
+    """Private module-level functions and methods (`_name`, not dunder)
+    defined in `sources` that no source references by name or attribute."""
+    defined, referenced = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        classes = [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in [tree.body, *classes]:
+            defined.update(node.name for node in body if isinstance(node, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    return sorted({name for name in defined if name.startswith("_")} - dunder - referenced)
+
+
 def test_guard_finds_an_unused_import():
     source = "from __future__ import annotations\nimport numpy as np\nfrom typing import Iterable, Sequence\nx: Sequence = np.ones(1)\n"
     assert unused_imports(source) == ["Iterable"]
@@ -33,3 +53,16 @@ def test_guard_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_finds_an_unreferenced_private_definition():
+    source = (
+        "def _used():\n    pass\n\n\ndef _unused():\n    pass\n\n\n"
+        "class A:\n    def __init__(self):\n        self._helper()\n\n"
+        "    def _helper(self):\n        _used()\n\n    def _stale(self):\n        pass\n"
+    )
+    assert unreferenced_private_definitions([source]) == ["_stale", "_unused"]
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_definitions(p.read_text() for p in sorted(PACKAGE.glob("*.py"))) == []
