@@ -8,7 +8,7 @@ Modules:
     functionals     weighted norms, Dirichlet energies, Rayleigh quotients
     sharp_constant  closed-form constants and the sharpness test families
     rearrange       decreasing rearrangement and double Schwarz symmetrization
-    minimizer       projected descent on the constrained quotient
+    minimizer       projected L-BFGS descent on the constrained quotient
     cli             experiment runner (`hardysym` console script)
 """
 

@@ -1,10 +1,11 @@
 """Constrained minimization of the Hardy-Sobolev quotient by projected
-gradient descent on cylindrical grid functions, plus the symmetrize-and-compare
+L-BFGS on cylindrical grid functions, plus the symmetrize-and-compare
 experiment and the beta = p endpoint sweep."""
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -30,12 +31,23 @@ __all__ = [
 
 DELTA_SCALE = 1e-8  # p-Laplacian regularization for p != 2, relative to grid diameter
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+LBFGS_MEMORY = 5  # (s, y) pairs kept by the L-BFGS two-loop recursion
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 
 
 @dataclass(frozen=True)
 class DescentOptions:
+    """Settings of minimize_hs.
+
+    tol is the stationarity residual at which the run stops (stop_reason
+    "residual"); tol = 0 never stops on it, so the run ends on a failed line
+    search or at max_iter.  seed draws the "random" start.  The line
+    search's first step tau0 and its budget of halvings max_halvings are
+    class constants, not fields.
+    """
+
     max_iter: int = 2000
-    tol: float = 1e-10
+    tol: float = 1e-8
     seed: int = 0
     tau0 = 1.0  # first step: a class constant, not a field
     max_halvings = 40  # line-search budget: a class constant, not a field
@@ -45,14 +57,16 @@ class DescentOptions:
 class MinimizationTrace:
     """Iteration history of the constrained descent.
 
-    symmetry_deviation is max |u** - u| / max u for the final iterate u,
-    with u** its double symmetrization.
+    residuals holds the stationarity residual of each iterate (see
+    minimize_hs).  symmetry_deviation is max |u** - u| / max u for the final
+    iterate u, with u** its double symmetrization.
     """
 
     energies: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
     quotients: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
     symmetry_deviation: float = 0.0
     final_u: Optional[GridFunction] = None
     converged: bool = False
@@ -62,11 +76,12 @@ class MinimizationTrace:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "energies": self.energies,
             "constraints": self.constraints,
             "quotients": self.quotients,
             "step_sizes": self.step_sizes,
+            "residuals": self.residuals,
             "symmetry_deviation": self.symmetry_deviation,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
@@ -112,15 +127,15 @@ def _generalized_eigh(A: sp.csr_matrix, measures: np.ndarray):
 
 
 def _build_preconditioner(grid: CylGrid, dirichlet: DirichletEnergy):
-    """H1-type preconditioner As⊗Mt + Ms⊗At + Ms⊗Mt: the energy's p = 2
-    stiffness along each axis plus the diagonal cell-measure mass.
+    """The metric K = As⊗Mt + Ms⊗At: the energy's p = 2 stiffness along
+    each axis, tensored with the other axis's diagonal cell-measure mass.
 
-    The wall edge already makes each 1-D stiffness positive definite, so
-    the matrix is symmetric positive definite and the preconditioned
-    gradient always points downhill; the mass term sets the metric's length
-    scale to 1.  Returns a callable that solves it for an (ns, nt) array.
-    A cylinder grid (m >= 1) gets the fast diagonalization method (Lynch,
-    Rice & Thomas 1964): each solve is four dense matmuls in the generalized
+    K is half the Hessian of the p = 2 energy, so it transforms like that
+    energy under dilation and fixes no length scale.  The wall edge makes
+    each 1-D stiffness positive definite, so K is symmetric positive
+    definite.  Returns a callable that solves K for an (ns, nt) array.  A
+    cylinder grid (m >= 1) gets the fast diagonalization method (Lynch, Rice
+    & Thomas 1964): each solve is four dense matmuls in the generalized
     eigenbases of the two 1-D pencils.  A radial grid (m = 0, where ns can
     be thousands) gets a sparse LU of the tridiagonal matrix.
     """
@@ -128,12 +143,30 @@ def _build_preconditioner(grid: CylGrid, dirichlet: DirichletEnergy):
     mt = grid.t_measures
     As = dirichlet.stiffness(0)
     if grid.t_grid is None:
-        lu = splu((sp.kron(As, sp.diags(mt)) + sp.diags(np.outer(ms, mt).ravel())).tocsc())
+        lu = splu(sp.kron(As, sp.diags(mt)).tocsc())
         return lambda R: lu.solve(R.ravel()).reshape(R.shape)
     lam_s, Vs = _generalized_eigh(As, ms)
     lam_t, Vt = _generalized_eigh(dirichlet.stiffness(1), mt)
-    denom = lam_s[:, None] + lam_t[None, :] + 1.0
+    denom = lam_s[:, None] + lam_t[None, :]
     return lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T
+
+
+def _lbfgs_direction(g, Kg, pairs, gamma, solve):
+    """-H g by the L-BFGS two-loop recursion (Nocedal 1980), with H0 =
+    gamma K^-1; Kg is K^-1 g, and pairs holds (s, y, 1 / s.y)."""
+    if not pairs:
+        return -gamma * Kg
+    r = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * np.vdot(s, r))
+        r -= alphas[-1] * y
+    r = solve(r)
+    r *= gamma
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * np.vdot(y, r)) * s
+    r *= -1.0
+    return r
 
 
 def minimize_hs(
@@ -142,16 +175,27 @@ def minimize_hs(
     init: Union[GridFunction, str] = "bump",
     opts: DescentOptions = DescentOptions(),
 ) -> MinimizationTrace:
-    """Projected descent for S = inf { int |grad u|^p : int |u|^q / |y|^beta = 1 }.
+    """Projected L-BFGS for S = inf { int |grad u|^p : int |u|^q / |y|^beta = 1 }.
 
     The Dirichlet energy is a DirichletEnergy with the zero boundary at
-    r_max built into the wall edges.  Each step moves against the
-    constrained energy gradient, preconditioned by an H1 solve, re-imposes
-    nonnegativity, and rescales back onto the constraint set.  A step is
-    accepted only if the quotient does not increase; backtracking halves the
-    step size.  Convergence is declared on relative quotient stagnation.
+    r_max built into the wall edges.  Every iterate lies on the constraint
+    set C = 1.  At each one, g is the quotient's gradient there and K the
+    metric of _build_preconditioner.  The search direction is L-BFGS with
+    memory LBFGS_MEMORY and initial inverse Hessian gamma K^-1, gamma = s.y
+    / y.K^-1 y from the newest pair; a pair with s.y <= 0 is skipped, and a
+    direction d that is not downhill is replaced by -K^-1 g.  The line
+    search tries tau = tau0, tau0 / 2, ... (at most max_halvings halvings):
+    each candidate U + tau d is clipped to be nonnegative, rescaled onto the
+    constraint set, and accepted only if it lowers the quotient by at least
+    ARMIJO * tau * (-g.d) and strictly, so the quotient trace decreases.
+    The stationarity residual sqrt(g.K^-1 g) / Q is recorded for every
+    iterate; neither a rescaling nor a dilation of the iterate changes it.
+    The run stops with stop_reason
+      "residual" when it is at most opts.tol,
+      "step_rejected_at_stationarity" when no candidate is accepted,
+      "max_iter" (converged = False) after opts.max_iter accepted steps.
     Each candidate's density state is computed once: its energy is read off
-    it, and the accepted candidate's feeds the next gradient.
+    it, and the accepted candidate's gives the next gradient.
     """
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
@@ -196,50 +240,62 @@ def minimize_hs(
         e = dirichlet.state_energy(state)
         return c, state, e, e / c ** (p / q)
 
+    def stationarity(V, state, e, c, quotient):
+        """The quotient gradient g at V (C = 1), K^-1 g and the residual."""
+        g = dirichlet.gradient(state) - (p * e / (q * c)) * (q * V ** (q - 1.0) * Wbeta)
+        Kg = solve(g)
+        return g, Kg, math.sqrt(max(np.vdot(g, Kg), 0.0)) / quotient
+
     U = np.maximum(u0.values, 0.0)
     c, state, energy, quotient = evaluate(U)
-    history = [(energy, c, quotient, 0.0)]
-    tau = opts.tau0
-    for _ in range(opts.max_iter):
-        theta = p * energy / (q * c)
-        # the accepted iterate's state gives its energy gradient, with no
-        # second pass over U; it is freed before the line search
-        search = solve(dirichlet.gradient(state) - theta * (q * U ** (q - 1.0) * Wbeta))
-        del state
-        dir_scale = np.abs(search).max()
-        if dir_scale == 0.0 or not np.isfinite(dir_scale):
-            trace.converged, trace.stop_reason = True, "zero_gradient"
+    g, Kg, res = stationarity(U, state, energy, c, quotient)
+    del state
+    history = [(energy, c, quotient, 0.0, res)]
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    gamma = 1.0
+    while True:
+        if res <= opts.tol:
+            trace.stop_reason = "residual"
             break
+        if len(history) > opts.max_iter:
+            trace.stop_reason = "max_iter"
+            break
+        d = _lbfgs_direction(g, Kg, pairs, gamma, solve)
+        slope = -np.vdot(g, d)
+        if not slope > 0:
+            d, slope = -Kg, np.vdot(g, Kg)
 
-        tau = min(2.0 * tau, 1e6)
+        tau = opts.tau0
         for _ in range(opts.max_halvings + 1):
-            cand = U - tau * search
+            cand = U + tau * d
             np.maximum(cand, 0.0, out=cand)
             if (cand > 0).any():
                 c_new, state, e_new, q_new = evaluate(cand)
-                if q_new <= quotient:
+                decrease = quotient - q_new
+                # strict even where ARMIJO * tau * slope underflows to 0:
+                # accepting an equal quotient can make zero-progress steps
+                if decrease >= ARMIJO * tau * slope and decrease > 0:
                     break
                 del state  # a rejected candidate's state is freed before the next one is made
             tau *= 0.5
         else:
-            # cannot decrease along this search vector: stationary up to line-search floor
-            trace.converged, trace.stop_reason = True, "step_rejected_at_stationarity"
+            trace.stop_reason = "step_rejected_at_stationarity"
             break
+        del d
 
-        rel_change = abs(quotient - q_new) / max(quotient, 1e-300)
-        U, c, energy, quotient = cand, c_new, e_new, q_new
-        history.append((energy, c, quotient, tau))
-        if rel_change < opts.tol:
-            trace.converged, trace.stop_reason = True, "quotient_stagnation"
-            break
-    else:
-        trace.stop_reason = "max_iter"
-        # monotone trace throughout; flag convergence if the tail is flat
-        if len(history) >= 2:
-            tail = abs(history[-2][2] - history[-1][2]) / history[-1][2]
-            trace.converged = tail < math.sqrt(opts.tol)
+        g_new, Kg_new, res = stationarity(cand, state, e_new, c_new, q_new)
+        del state
+        s_step = cand - U
+        y = g_new - g
+        sy = np.vdot(s_step, y)
+        if sy > 0:
+            gamma = sy / np.vdot(y, Kg_new - Kg)  # Kg_new - Kg is K^-1 y
+            pairs.append((s_step, y, 1.0 / sy))
+        U, c, energy, quotient, g, Kg = cand, c_new, e_new, q_new, g_new, Kg_new
+        history.append((energy, c, quotient, tau, res))
 
-    trace.energies, trace.constraints, trace.quotients, trace.step_sizes = map(list, zip(*history))
+    trace.converged = trace.stop_reason != "max_iter"
+    trace.energies, trace.constraints, trace.quotients, trace.step_sizes, trace.residuals = map(list, zip(*history))
     trace.final_u = GridFunction(grid, U)
     deviation = np.max(np.abs(double_star(trace.final_u).values - U)) / max(U.max(), 1e-300)
     trace.symmetry_deviation = float(deviation)

@@ -111,8 +111,9 @@ def test_minimize_summary_and_trace_schema(tmp_path, capsys):
     summary = capsys.readouterr().out.splitlines()[0]
     assert summary.startswith("minimize: initial=") and " final=" in summary
     payload = json.loads((tmp_path / "minimize_trace.json").read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert isinstance(payload["symmetry_deviation"], float)
+    assert len(payload["residuals"]) == len(payload["quotients"])
 
 
 @pytest.mark.parametrize(

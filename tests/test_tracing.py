@@ -5,6 +5,8 @@ A refactor that drops or renames one of them must fail here first."""
 import importlib
 from pathlib import Path
 
+from hardysym import DescentOptions
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -25,3 +27,9 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
         tracer.uninstall()
     for (module, attr), original in originals.items():
         assert getattr(importlib.import_module(module), attr) is original
+
+
+def test_line_search_constants_read_by_the_benchmark_exist():
+    # the benchmark's per-round facts read these off DescentOptions
+    assert DescentOptions.tau0 > 0
+    assert isinstance(DescentOptions.max_halvings, int) and DescentOptions.max_halvings > 0
