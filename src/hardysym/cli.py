@@ -214,7 +214,10 @@ def cmd_product_sweep(cfg: dict) -> int:
 def _hs_grid(cfg: dict) -> CylGrid:
     n = _refined(cfg["n"], cfg)
     if n < 2:
-        raise ConfigurationError(f"n must be >= 2 (the last cell of each radius is held at zero), got {n}")
+        raise ConfigurationError(
+            "n must be >= 2 (the default start is zero on the last cell of each radius, "
+            f"so n = 1 gives an all-zero start), got {n}"
+        )
     s_grid = make_radial_grid(cfg["k"], cfg["r_max"], n, "equimeasure")
     if cfg["N"] == cfg["k"]:
         return CylGrid(s_grid)

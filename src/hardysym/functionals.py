@@ -104,7 +104,8 @@ def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
 
     def block_norm(i0, i1):
         measures = np.outer(s_measures[i0:i1], t_measures)
-        return (values[i0:i1] ** p * weight[i0:i1, None] * measures).sum()
+        # the cell weight first, as minimize_hs forms its constraint weight
+        return (values[i0:i1] ** p * (weight[i0:i1, None] * measures)).sum()
 
     return sum_over_row_blocks(values.shape, block_norm)
 

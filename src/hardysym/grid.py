@@ -3,7 +3,10 @@
 Everything downstream reduces N-dimensional integrals with power weights in
 |y| to low-dimensional sums over these grids.  Cell measures are computed by
 exact integration of r^(d-1) over each cell, so singular-but-integrable
-weights near the origin carry no quadrature penalty.
+weights near the origin carry no quadrature penalty.  DirichletEnergy is the
+one discrete p-Dirichlet energy on them: its energy and exact gradient are
+computed from cell values alone, and its p = 2 stiffness builds the
+minimizer's metric.
 """
 
 from __future__ import annotations
@@ -389,9 +392,8 @@ class DirichletEnergy:
     onto the two edges of each cell give |grad u|^2 per cell.  Unlike
     centred differences, this scheme has no oscillatory null mode.
 
-    `energy(values)` is the one-shot energy, summed by row blocks.  A descent
-    instead keeps one `density(values)` state per cell array and reads both
-    `state_energy(state)` and `gradient(state)` off it.
+    `energy(values)` and `gradient(values)` each read (ns, nt) cell values
+    and keep nothing from one call to the next.
     """
 
     def __init__(self, grid: CylGrid, wall: bool, p: float, s_weight: np.ndarray, delta: float = 0.0):
@@ -402,7 +404,7 @@ class DirichletEnergy:
         self.inv_ds = _inverse_spacings(grid.s_grid, wall)
         self.inv_dt = None if grid.t_grid is None else _inverse_spacings(grid.t_grid, wall)
 
-    def edges(self, values: np.ndarray, rows: Optional[tuple] = None) -> tuple:
+    def _edges(self, values: np.ndarray, rows: Optional[tuple] = None) -> tuple:
         """Edge gradients (gs, gt) of (ns, nt) cell values, for the rows
         i0 <= i < i1 of the window `rows` = (i0, i1) (default: all rows).
 
@@ -430,12 +432,12 @@ class DirichletEnergy:
             gt[:, nt] = -block[:, -1] * self.inv_dt[-1]
         return gs, gt
 
-    def density(self, values: np.ndarray, rows: Optional[tuple] = None) -> tuple:
-        """(gs, gt, g2) for the window `rows` of `edges`: its edge gradients,
+    def _density(self, values: np.ndarray, rows: Optional[tuple] = None) -> tuple:
+        """(gs, gt, g2) for the window `rows` of `_edges`: its edge gradients,
         and per cell g2 = |grad u|^2 + delta^2, with |grad u|^2 the squared
         edge gradients averaged over the two edges of the cell along each
         axis, 0.5 (gs[i]^2 + gs[i+1]^2) + 0.5 (gt[j]^2 + gt[j+1]^2)."""
-        gs, gt = self.edges(values, rows)
+        gs, gt = self._edges(values, rows)
         sq = np.square(gs)
         g2 = sq[:-1] + sq[1:]
         g2 *= 0.5
@@ -454,25 +456,22 @@ class DirichletEnergy:
         (sum_over_row_blocks) so that no temporary is larger than a block."""
 
         def block_energy(i0, i1):
-            return self._power_sum(self.density(values, (i0, i1))[2], self.s_weight[i0:i1, None] * self.t_measures)
+            density = self._density(values, (i0, i1))[2] ** (self.p / 2.0)
+            density *= self.s_weight[i0:i1, None] * self.t_measures
+            return density.sum()
 
         return sum_over_row_blocks(values.shape, block_energy)
 
-    def state_energy(self, state: tuple) -> float:
-        """The energy of the values behind a kept `density(values)` state,
-        summed over the row blocks of `energy`."""
-        g2 = state[2]
-        return sum_over_row_blocks(g2.shape, lambda i0, i1: self._power_sum(g2[i0:i1], self._weight[i0:i1]))
-
-    def gradient(self, state: tuple) -> np.ndarray:
-        """The energy's exact gradient at the values behind a `density(values)`
-        state: psi = (p/2) g2^(p/2 - 1) * weight per cell, spread to the edges
-        (_flux_weights) and times the edge gradients, then the transposed
-        differences of `edges`."""
-        gs, gt, g2 = state
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """The energy's exact gradient at (ns, nt) cell values: psi = (p/2)
+        g2^(p/2 - 1) * weight per cell, spread to the edges (_flux_weights)
+        and times the edge gradients, then the transposed differences of
+        `_edges`.  At p = 2 with delta = 0, psi is the weight itself."""
         if self.p == 2.0 and not self.delta:
+            gs, gt = self._edges(values)
             weight_s, weight_t = self._p2_flux_weights
         else:
+            gs, gt, g2 = self._density(values)
             weight_s, weight_t = self._flux_weights(0.5 * self.p * g2 ** (self.p / 2.0 - 1.0) * self._weight)
         flux_s = weight_s * gs
         flux_s[1 : 1 + len(self.inv_ds)] *= self.inv_ds[:, None]
@@ -492,13 +491,7 @@ class DirichletEnergy:
         D = sp.diags([-np.append(inv_d, 0.0)[:n], np.append(0.0, inv_d)[:n]], [-1, 0], shape=(n + 1, n))
         return (D.T @ sp.diags(_spread(radial.cell_measures, 0)) @ D).tocsr()
 
-    def _power_sum(self, g2: np.ndarray, weight: np.ndarray) -> float:
-        """sum of g2^(p/2) * weight over a block of cells."""
-        density = g2 ** (self.p / 2.0)
-        density *= weight
-        return density.sum()
-
-    # The descent's loop invariants, formed on its first use: a one-shot
+    # The gradient's loop invariants, formed on its first use: a one-shot
     # `energy` forms only block-sized weights.
     @cached_property
     def _weight(self) -> np.ndarray:

@@ -194,8 +194,9 @@ def minimize_hs(
       "residual" when it is at most opts.tol,
       "step_rejected_at_stationarity" when no candidate is accepted,
       "max_iter" (converged = False) after opts.max_iter accepted steps.
-    Each candidate's density state is computed once: its energy is read off
-    it, and the accepted candidate's gives the next gradient.
+    The constraint and its gradient share one cell weight W, the cell
+    average of |y|^-beta times the cell measure, formed as hs_constraint
+    forms it, so the trace's constraints are hs_constraint's sums.
     """
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
@@ -207,11 +208,8 @@ def minimize_hs(
         raise DegenerateInputError("all-zero initializer")
 
     p, q, beta = params.p, params.q, params.beta
-    # constraint factors, summed in hs_constraint's order so the sums match it
-    w = grid.s_grid.weight_average(-beta)
-    s_weight = w[:, None]
-    cell_measures = grid.cell_measures
-    Wbeta = np.outer(w * grid.s_grid.cell_measures, grid.t_measures)
+    # the constraint's cell weight, formed as hs_constraint forms it so the sums match
+    W = grid.s_grid.weight_average(-beta)[:, None] * grid.cell_measures
 
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
@@ -221,14 +219,12 @@ def minimize_hs(
 
     def constraint(V):
         density = V**q
-        density *= s_weight
-        density *= cell_measures
+        density *= W
         return float(density.sum())
 
     def evaluate(V):
         """Rescale V, a fresh array, in place to constraint value 1 (exact by
-        q-homogeneity); return its constraint, energy state, energy and
-        quotient."""
+        q-homogeneity); return its constraint, energy and quotient."""
         c = constraint(V)
         if not np.isfinite(c):
             raise DomainError("constraint integral is not finite")
@@ -236,20 +232,18 @@ def minimize_hs(
             raise DegenerateInputError("cannot project: constraint integral is zero")
         V *= c ** (-1.0 / q)
         c = constraint(V)
-        state = dirichlet.density(V)
-        e = dirichlet.state_energy(state)
-        return c, state, e, e / c ** (p / q)
+        e = dirichlet.energy(V)
+        return c, e, e / c ** (p / q)
 
-    def stationarity(V, state, e, c, quotient):
+    def stationarity(V, e, c, quotient):
         """The quotient gradient g at V (C = 1), K^-1 g and the residual."""
-        g = dirichlet.gradient(state) - (p * e / (q * c)) * (q * V ** (q - 1.0) * Wbeta)
+        g = dirichlet.gradient(V) - (p * e / (q * c)) * (q * V ** (q - 1.0) * W)
         Kg = solve(g)
         return g, Kg, math.sqrt(max(np.vdot(g, Kg), 0.0)) / quotient
 
     U = np.maximum(u0.values, 0.0)
-    c, state, energy, quotient = evaluate(U)
-    g, Kg, res = stationarity(U, state, energy, c, quotient)
-    del state
+    c, energy, quotient = evaluate(U)
+    g, Kg, res = stationarity(U, energy, c, quotient)
     history = [(energy, c, quotient, 0.0, res)]
     pairs = deque(maxlen=LBFGS_MEMORY)
     gamma = 1.0
@@ -270,21 +264,19 @@ def minimize_hs(
             cand = U + tau * d
             np.maximum(cand, 0.0, out=cand)
             if (cand > 0).any():
-                c_new, state, e_new, q_new = evaluate(cand)
+                c_new, e_new, q_new = evaluate(cand)
                 decrease = quotient - q_new
                 # strict even where ARMIJO * tau * slope underflows to 0:
                 # accepting an equal quotient can make zero-progress steps
                 if decrease >= ARMIJO * tau * slope and decrease > 0:
                     break
-                del state  # a rejected candidate's state is freed before the next one is made
             tau *= 0.5
         else:
             trace.stop_reason = "step_rejected_at_stationarity"
             break
         del d
 
-        g_new, Kg_new, res = stationarity(cand, state, e_new, c_new, q_new)
-        del state
+        g_new, Kg_new, res = stationarity(cand, e_new, c_new, q_new)
         s_step = cand - U
         y = g_new - g
         sy = np.vdot(s_step, y)
