@@ -247,7 +247,10 @@ def cmd_minimize(cfg: dict) -> int:
     _write_json(out / "minimize_trace.json", trace.to_dict())
     grid_function_to_csv(trace.final_u, out / "minimize_final.csv")
     print(f"minimize: initial={trace.quotients[0]:.12g} final={trace.quotients[-1]:.12g}")
-    print(f"converged={trace.converged} stop_reason={trace.stop_reason} iters={len(trace.quotients) - 1}")
+    print(
+        f"converged={trace.converged} stop_reason={trace.stop_reason} iters={len(trace.quotients) - 1} "
+        f"residual={trace.residuals[-1]:.3e}"
+    )
     return 0
 
 

@@ -99,13 +99,9 @@ def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
     if p <= 0:
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
-    weight = grid.s_grid.weight_average(a)
-    s_measures, t_measures = grid.s_grid.cell_measures, grid.t_measures
 
     def block_norm(i0, i1):
-        measures = np.outer(s_measures[i0:i1], t_measures)
-        # the cell weight first, as minimize_hs forms its constraint weight
-        return (values[i0:i1] ** p * (weight[i0:i1, None] * measures)).sum()
+        return (values[i0:i1] ** p * grid.cell_weight(a, slice(i0, i1))).sum()
 
     return sum_over_row_blocks(values.shape, block_norm)
 
@@ -119,8 +115,7 @@ def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) 
     if p <= 0:
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
-    s_weight = grid.s_grid.weight_average(a) * grid.s_grid.cell_measures
-    return DirichletEnergy(grid, wall, p, s_weight).energy(values)
+    return DirichletEnergy(grid, wall, p, a).energy(values)
 
 
 def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:

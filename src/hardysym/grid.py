@@ -96,16 +96,19 @@ class RadialGrid:
     def r_max(self) -> float:
         return float(self.edges[-1])
 
-    def weight_average(self, a: float) -> np.ndarray:
-        """Exact cell average of r^a against the cell's r^(dim-1) measure.
+    def weight_average(self, a: float, rows: slice = slice(None)) -> np.ndarray:
+        """Exact cell average of r^a against the cell's r^(dim-1) measure,
+        for the cells `rows` only.
 
         Requires a + dim > 0 so the weight is integrable in the origin cell.
         """
+        i0, i1, _ = rows.indices(self.n)
         if a == 0.0:
-            return np.ones(self.n)
+            return np.ones(i1 - i0)
         if a + self.dim <= 0.0:
             raise DomainError(f"weight r^{a} not cell-integrable: a + dim <= 0")
-        return _power_integral(self.edges, a + self.dim - 1) / _power_integral(self.edges, self.dim - 1)
+        edges = self.edges[i0 : i1 + 1]
+        return _power_integral(edges, a + self.dim - 1) / _power_integral(edges, self.dim - 1)
 
     def descriptor(self) -> dict:
         return {
@@ -180,7 +183,6 @@ def make_radial_grid(
     n: int,
     grading: str = "uniform",
     *,
-    ratio: Optional[float] = None,
     r_break: Optional[float] = None,
     first_width: Optional[float] = None,
 ) -> RadialGrid:
@@ -188,9 +190,8 @@ def make_radial_grid(
 
     grading:
       - "uniform": equal cell widths.
-      - "geometric": widths in geometric progression (dense near 0 for
-        ratio > 1).  Give either `ratio` (successive width ratio) or
-        `first_width` (width of the origin cell; the ratio is solved for).
+      - "geometric": widths in geometric progression, the origin cell of
+        width `first_width`; the successive width ratio is solved for.
       - "split": uniform cells on [0, r_break] (half the cell budget), then a
         width-continuous geometric tail up to r_max.  A cell edge lands
         exactly on r_break.
@@ -205,14 +206,9 @@ def make_radial_grid(
         edges = np.linspace(0.0, r_max, n + 1)
         desc = {"kind": "uniform"}
     elif grading == "geometric":
-        if ratio is not None:
-            if ratio <= 0:
-                raise ConfigurationError("geometric grading: ratio must be positive")
-            ln_ratio = math.log(ratio)
-        elif first_width is not None:
-            ln_ratio = _solve_ln_ratio(r_max, n, first_width)
-        else:
-            raise ConfigurationError("geometric grading needs ratio or first_width")
+        if first_width is None:
+            raise ConfigurationError("geometric grading needs first_width")
+        ln_ratio = _solve_ln_ratio(r_max, n, first_width)
         widths = _geometric_widths(r_max, n, ln_ratio)
         edges = np.concatenate(([0.0], np.cumsum(widths)))
         edges[-1] = r_max
@@ -291,7 +287,16 @@ class CylGrid:
 
     @property
     def cell_measures(self) -> np.ndarray:
-        return np.outer(self.s_grid.cell_measures, self.t_measures)
+        return self.cell_weight(0.0)
+
+    def cell_weight(self, a: float, rows: slice = slice(None)) -> np.ndarray:
+        """Cell measure times the exact cell average of |y|^a, for the s-rows
+        `rows`: the weight of each cell in a sum of f |y|^a over the grid.
+        At a = 0 it is the cell measure itself."""
+        weight = np.outer(self.s_grid.cell_measures[rows], self.t_measures)
+        if a != 0.0:
+            weight *= self.s_grid.weight_average(a, rows)[:, None]
+        return weight
 
     def descriptor(self) -> dict:
         return {
@@ -380,7 +385,7 @@ def _spread(cell: np.ndarray, axis: int) -> np.ndarray:
 
 class DirichletEnergy:
     """The discrete p-Dirichlet energy, the sum over cells of
-    (|grad u|^2 + delta^2)^(p/2) * s_weight[i] * t_measures[j], with its exact
+    (|grad u|^2 + delta^2)^(p/2) * grid.cell_weight(a), with its exact
     gradient and its p = 2 stiffness.
 
     grad u is taken by forward differences on cell edges.  Along each
@@ -396,11 +401,10 @@ class DirichletEnergy:
     and keep nothing from one call to the next.
     """
 
-    def __init__(self, grid: CylGrid, wall: bool, p: float, s_weight: np.ndarray, delta: float = 0.0):
+    def __init__(self, grid: CylGrid, wall: bool, p: float, a: float = 0.0, delta: float = 0.0):
         if not wall and (grid.s_grid.n < 2 or (grid.t_grid is not None and grid.t_grid.n < 2)):
             raise UsageError("a natural-end gradient needs at least 2 cells along each radius")
-        self.grid, self.wall, self.p, self.s_weight, self.delta = grid, wall, p, s_weight, delta
-        self.t_measures = grid.t_measures
+        self.grid, self.wall, self.p, self.a, self.delta = grid, wall, p, a, delta
         self.inv_ds = _inverse_spacings(grid.s_grid, wall)
         self.inv_dt = None if grid.t_grid is None else _inverse_spacings(grid.t_grid, wall)
 
@@ -457,7 +461,7 @@ class DirichletEnergy:
 
         def block_energy(i0, i1):
             density = self._density(values, (i0, i1))[2] ** (self.p / 2.0)
-            density *= self.s_weight[i0:i1, None] * self.t_measures
+            density *= self.grid.cell_weight(self.a, slice(i0, i1))
             return density.sum()
 
         return sum_over_row_blocks(values.shape, block_energy)
@@ -495,8 +499,8 @@ class DirichletEnergy:
     # `energy` forms only block-sized weights.
     @cached_property
     def _weight(self) -> np.ndarray:
-        """The whole-grid cell weight s_weight[i] * t_measures[j]."""
-        return self.s_weight[:, None] * self.t_measures
+        """The whole-grid cell weight."""
+        return self.grid.cell_weight(self.a)
 
     @cached_property
     def _p2_flux_weights(self) -> tuple:

@@ -194,9 +194,8 @@ def minimize_hs(
       "residual" when it is at most opts.tol,
       "step_rejected_at_stationarity" when no candidate is accepted,
       "max_iter" (converged = False) after opts.max_iter accepted steps.
-    The constraint and its gradient share one cell weight W, the cell
-    average of |y|^-beta times the cell measure, formed as hs_constraint
-    forms it, so the trace's constraints are hs_constraint's sums.
+    The constraint and its gradient share one cell weight W =
+    grid.cell_weight(-beta), the weight of hs_constraint's sums.
     """
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
@@ -208,12 +207,11 @@ def minimize_hs(
         raise DegenerateInputError("all-zero initializer")
 
     p, q, beta = params.p, params.q, params.beta
-    # the constraint's cell weight, formed as hs_constraint forms it so the sums match
-    W = grid.s_grid.weight_average(-beta)[:, None] * grid.cell_measures
+    W = grid.cell_weight(-beta)
 
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
-    dirichlet = DirichletEnergy(grid, wall=True, p=p, s_weight=grid.s_grid.cell_measures, delta=delta)
+    dirichlet = DirichletEnergy(grid, wall=True, p=p, delta=delta)
     solve = _build_preconditioner(grid, dirichlet)
     trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
 
@@ -333,7 +331,7 @@ def hardy_endpoint_sweep(
     plateau family needs exponentially many e-folds in eps, so the y-grid is
     geometric, with an origin cell of width 1e-3, out to r_max =
     exp(log_r_max), and the spreading scales are proportional to r_max.  The
-    bump is sampled on 1024 cells of [0, 1].  A ConfigurationError names
+    z-profile is product_family's bump.  A ConfigurationError names
     n_s or n_t below 2, an n_t too coarse to sample the narrowest bump, a
     log_r_max <= 0 (the plateau family needs r_max > 1), and a log_r_max or
     a ladder whose grid volume, of order
@@ -387,11 +385,8 @@ def hardy_endpoint_sweep(
     t_grid = make_radial_grid(m, 1.05 * lam_max, n_t, "uniform")
     grid = CylGrid(s_grid, t_grid)
 
-    w_grid = make_radial_grid(m, 1.0, 1024, "uniform")
-    x = w_grid.nodes
-    w = GridFunction(w_grid, (1.0 - np.minimum(x * x, 1.0)) ** 2)
     lam_min = min(lam for _, lam in ladder)
-    if t_grid.nodes[0] / lam_min > x[-1]:
+    if t_grid.nodes[0] >= lam_min:
         raise ConfigurationError(
             f"n_t = {n_t} is too small: the first t-cell centre {t_grid.nodes[0]:.4g} lies outside "
             f"the bump's support at lambda = {lam_min:.4g}"
@@ -400,7 +395,7 @@ def hardy_endpoint_sweep(
     rows = []
     for eps, lam in ladder:
         v = eps_family_truncated(eps, p, -p, s_grid)
-        u = product_family(v, w, lam, grid)
+        u = product_family(v, lam, grid)
         rep = hs_quotient(u, params)
         del u, v  # free this rung before product_family builds the next
         rows.append(

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, DomainError
 from .functionals import Params, weighted_dirichlet, weighted_p_norm
@@ -180,18 +179,9 @@ def convexity_bound(s, t, lam, p):
     return lhs, rhs
 
 
-def _support_radius(w: GridFunction) -> float:
-    """Outer edge of the last cell where w is nonzero."""
-    nz = np.nonzero(w.values)[0]
-    if len(nz) == 0:
-        return 0.0
-    return float(w.grid.edges[nz[-1] + 1])
-
-
-def product_family(
-    v: GridFunction, w: GridFunction, lambda_scale: float, grid: CylGrid
-) -> GridFunction:
-    """Cylindrical sampling of u(y, z) = v(|y|) * w(|z| / lambda_scale).
+def product_family(v: GridFunction, lambda_scale: float, grid: CylGrid) -> GridFunction:
+    """Cylindrical sampling of u(y, z) = v(|y|) * w(|z| / lambda_scale), with
+    w(x) = (1 - min(x, 1)^2)^2 the bump supported on [0, 1].
 
     Spreading w (lambda_scale -> infinity) makes the z-contribution to the
     Dirichlet energy vanish relative to its mass, which is how the cylindrical
@@ -203,27 +193,20 @@ def product_family(
         raise DomainError("product family needs m = N - k >= 1")
     if v.grid.n != grid.s_grid.n or v.grid.dim != grid.k:
         raise ConfigurationError("v must live on the cylinder's s-grid")
-    support = lambda_scale * _support_radius(w)
-    if support > grid.t_grid.r_max:
+    if lambda_scale > grid.t_grid.r_max:
         raise ConfigurationError(
-            f"scaled support {support:g} exceeds t-grid r_max {grid.t_grid.r_max:g}"
+            f"scaled support {lambda_scale:g} exceeds t-grid r_max {grid.t_grid.r_max:g}"
         )
-    w_scaled = np.interp(grid.t_nodes / lambda_scale, w.grid.nodes, w.values, right=0.0)
-    return GridFunction(grid, np.outer(v.values, w_scaled))
+    w = (1.0 - np.minimum(grid.t_nodes / lambda_scale, 1.0) ** 2) ** 2
+    return GridFunction(grid, np.outer(v.values, w))
 
 
 def dirichlet_eigenvalue_interval(width: float, n: int = 8192) -> float:
-    """First eigenvalue of the 1D second-difference Dirichlet Laplacian on (0, width)."""
-    h = width / n
-    d = np.full(n - 1, 2.0 / h**2)
-    e = np.full(n - 2, -1.0 / h**2)
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)
-    return float(vals[0])
-
-
-def _default_bump(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) < 1.0, (1.0 - np.minimum(x * x, 1.0)) ** 2, 0.0)
+    """First eigenvalue of the 1D second-difference Dirichlet Laplacian on n
+    intervals of (0, width), in closed form: (2n / width)^2 sin^2(pi / 2n)."""
+    if n < 2:
+        raise ConfigurationError(f"need n >= 2 intervals (one interior node), got {n}")
+    return (2.0 * n / width) ** 2 * math.sin(math.pi / (2.0 * n)) ** 2
 
 
 def split_infimum_demo(
@@ -238,8 +221,8 @@ def split_infimum_demo(
     grid of 256 cells on [0, omega_width / 2], so the cells have the spacing
     of the 512-interval oracle `dirichlet_eigenvalue_interval`; the x2-grid
     has 2048 cells out to 1.05 max(lambda).  v(r) = cos(pi r / omega_width)
-    is the first Dirichlet eigenfunction and w a fixed even bump; the energy
-    has the Dirichlet wall edge at the outer end of both radii.  Returns
+    is the first Dirichlet eigenfunction and w product_family's bump; the
+    energy has the Dirichlet wall edge at the outer end of both radii.  Returns
     per-lambda quotients plus the discrete Omega-only infimum.
     """
     if len(lambda_scales) == 0:
@@ -253,10 +236,10 @@ def split_infimum_demo(
         make_radial_grid(1, omega_width / 2.0, 256, "uniform"),
         make_radial_grid(1, 1.05 * max(lambda_scales), 2048, "uniform"),
     )
-    v = np.cos(math.pi * grid.s_nodes / omega_width)
+    v = GridFunction(grid.s_grid, np.cos(math.pi * grid.s_nodes / omega_width))
     rows = []
     for lam in sorted(lambda_scales):
-        u = GridFunction(grid, np.outer(v, _default_bump(grid.t_nodes / lam)))
+        u = product_family(v, lam, grid)
         num = weighted_dirichlet(u, p, 0.0, wall=True)
         den = weighted_p_norm(u, p, 0.0)
         rows.append(

@@ -108,12 +108,15 @@ def test_radial_problem_k_equals_n(tmp_path):
 
 def test_minimize_summary_and_trace_schema(tmp_path, capsys):
     assert run(["minimize", "--n", "16", "--max-iter", "20"], tmp_path) == 0
-    summary = capsys.readouterr().out.splitlines()[0]
+    summary, status = capsys.readouterr().out.splitlines()
     assert summary.startswith("minimize: initial=") and " final=" in summary
     payload = json.loads((tmp_path / "minimize_trace.json").read_text())
     assert payload["schema_version"] == 3
     assert isinstance(payload["symmetry_deviation"], float)
     assert len(payload["residuals"]) == len(payload["quotients"])
+    # the status line ends on the last residual, so a stop above tol shows
+    assert status.startswith(f"converged={payload['converged']} stop_reason={payload['stop_reason']} ")
+    assert status.endswith(f" residual={payload['residuals'][-1]:.3e}")
 
 
 @pytest.mark.parametrize(

@@ -84,7 +84,7 @@ def test_weighted_p_norm_constant_radial():
 
 def test_weighted_p_norm_singular_weight_exact():
     # int_{|y|<1, R^2} |y|^{-1} dy = 2 pi; exact per-cell averages, any grading
-    g = make_radial_grid(2, 1.0, 16, "geometric", ratio=1.3)
+    g = make_radial_grid(2, 1.0, 16, "geometric", first_width=5e-3)
     u = GridFunction(g, np.ones(16))
     assert weighted_p_norm(u, 3.0, -1.0) == pytest.approx(2 * math.pi, rel=1e-12)
 
@@ -115,7 +115,7 @@ def test_blocked_weighted_p_norm_matches_whole_array(p, a):
     # four row blocks, the last one ragged (5 rows)
     nt = 64
     ns = 3 * (BLOCK_CELLS // nt) + 5
-    g = CylGrid(make_radial_grid(2, 6.0, ns, "geometric", ratio=1.001), make_radial_grid(2, 4.0, nt, "uniform"))
+    g = CylGrid(make_radial_grid(2, 6.0, ns, "geometric", first_width=3e-4), make_radial_grid(2, 4.0, nt, "uniform"))
     u = GridFunction(g, bumpy(g, 11))
     assert weighted_p_norm(u, p, a) == pytest.approx(whole_array_norm(u, p, a), rel=1e-13)
 

@@ -22,7 +22,6 @@ from hardysym.grid import BLOCK_CELLS, DirichletEnergy
 
 GRADINGS = [
     ("uniform", {}),
-    ("geometric", {"ratio": 1.05}),
     ("geometric", {"first_width": 1e-3}),
     ("split", {"r_break": 1.0}),
     ("equimeasure", {}),
@@ -104,7 +103,7 @@ def test_refinement_convergence_exp():
 
 
 def test_measure_additivity_under_cell_merge():
-    g = make_radial_grid(3, 5.0, 16, "geometric", ratio=1.2)
+    g = make_radial_grid(3, 5.0, 16, "geometric", first_width=0.05)
     merged = radial_grid_from_edges(3, np.delete(g.edges, 7))
     assert merged.cell_measures.sum() == g.cell_measures.sum()
     assert merged.cell_measures[6] == g.cell_measures[6] + g.cell_measures[7]
@@ -130,6 +129,35 @@ def test_weight_average_singularity_guard():
     # integrable singular weight is fine and exact
     w = g.weight_average(-1.0)
     assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, 1.5])
+def test_cell_weight_row_windows_tile_the_whole_grid(a):
+    # a blocked sum weights each block by its row window of cell_weight;
+    # this grid has four row blocks, the last one ragged
+    grid = PARITY_GRIDS["blocks"]()
+    ns, nt = grid.shape
+    rows = BLOCK_CELLS // nt
+    windows = [grid.cell_weight(a, slice(i0, min(i0 + rows, ns))) for i0 in range(0, ns, rows)]
+    assert len(windows) == 4
+    assert np.array_equal(np.concatenate(windows), grid.cell_weight(a))
+
+
+def test_cell_weight_at_zero_is_the_cell_measure():
+    for grid in (PARITY_GRIDS["blocks"](), PARITY_GRIDS["radial"]()):
+        expected = np.outer(grid.s_grid.cell_measures, grid.t_measures)
+        assert np.array_equal(grid.cell_weight(0.0), expected)
+        assert np.array_equal(grid.cell_measures, expected)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, 1.5])
+def test_cell_weight_sums_to_the_weighted_volume(a):
+    # int over |y| < R_s, |z| < R_t of |y|^a = sigma_k R_s^(a+k)/(a+k) * sigma_m R_t^m/m
+    grid = PARITY_GRIDS["blocks"]()
+    k, m = grid.k, grid.m
+    r_s, r_t = grid.s_grid.r_max, grid.t_grid.r_max
+    exact = sphere_area(k) * r_s ** (a + k) / (a + k) * sphere_area(m) * r_t**m / m
+    assert float(grid.cell_weight(a).sum()) == pytest.approx(exact, rel=1e-13)
 
 
 def test_dirichlet_constant_is_zero():
@@ -195,9 +223,8 @@ def test_energy_gradient_is_exact_adjoint(grid, wall):
     t = grid.t_nodes[None, :]
     U = np.exp(-(s**2) / 9.0 - t**2 / 4.0) * (1.0 + 0.1 * rng.uniform(size=grid.shape))
     V = rng.standard_normal(grid.shape)
-    s_weight = grid.s_grid.weight_average(1.0) * grid.s_grid.cell_measures
     for p, delta in ((3.0, 1e-3), (2.0, 0.0)):
-        dirichlet = DirichletEnergy(grid, wall, p, s_weight, delta)
+        dirichlet = DirichletEnergy(grid, wall, p, 1.0, delta)
         energy = dirichlet.energy(U)
         grad = dirichlet.gradient(U)
         h = 1e-5
@@ -253,10 +280,10 @@ def test_blocked_energy_matches_whole_array(wall, p, delta):
     # four row blocks, the last one ragged (5 rows)
     nt = 64
     ns = 3 * (BLOCK_CELLS // nt) + 5
-    grid = CylGrid(make_radial_grid(2, 6.0, ns, "geometric", ratio=1.001), make_radial_grid(2, 4.0, nt, "uniform"))
+    grid = CylGrid(make_radial_grid(2, 6.0, ns, "geometric", first_width=3e-4), make_radial_grid(2, 4.0, nt, "uniform"))
     values = bumpy(grid, 11)
     s_weight = grid.s_grid.weight_average(1.0) * grid.s_grid.cell_measures
-    energy = DirichletEnergy(grid, wall, p, s_weight, delta).energy(values)
+    energy = DirichletEnergy(grid, wall, p, 1.0, delta).energy(values)
     assert energy == pytest.approx(whole_array_energy(grid, wall, values, p, s_weight, delta), rel=1e-13)
 
 
@@ -271,7 +298,7 @@ def test_single_block_energy_is_whole_array_arithmetic(wall, p, delta):
     for grid, values in ((cyl, bumpy(cyl, 5)), (cyl, fortran), (radial, bumpy(radial, 6))):
         assert values.size <= BLOCK_CELLS
         s_weight = grid.s_grid.cell_measures
-        energy = DirichletEnergy(grid, wall, p, s_weight, delta).energy(values)
+        energy = DirichletEnergy(grid, wall, p, 0.0, delta).energy(values)
         assert energy == whole_array_energy(grid, wall, values, p, s_weight, delta)
 
 
@@ -284,7 +311,7 @@ def test_eight_power_of_two_blocks_add_in_whole_array_order():
     # rounded (math.fsum), gives a different last bit than the pairwise order
     values = np.random.default_rng(0).uniform(size=grid.shape)
     s_weight = grid.s_grid.cell_measures
-    energy = DirichletEnergy(grid, True, 2.0, s_weight).energy(values)
+    energy = DirichletEnergy(grid, True, 2.0).energy(values)
     assert energy == whole_array_energy(grid, True, values, 2.0, s_weight, 0.0)
 
 
@@ -336,7 +363,7 @@ PARITY_GRIDS = {
     "radial": lambda: CylGrid(make_radial_grid(3, 1000.0, 200, "geometric", first_width=1e-2)),
     "cylinder": lambda: CylGrid(make_radial_grid(2, 8.0, 96, "uniform"), make_radial_grid(2, 8.0, 80, "uniform")),
     "blocks": lambda: CylGrid(
-        make_radial_grid(2, 6.0, 3 * (BLOCK_CELLS // 64) + 5, "geometric", ratio=1.001),
+        make_radial_grid(2, 6.0, 3 * (BLOCK_CELLS // 64) + 5, "geometric", first_width=3e-4),
         make_radial_grid(2, 4.0, 64, "uniform"),
     ),
 }
@@ -350,7 +377,7 @@ def test_state_energy_and_gradient_are_bit_identical(name, p, delta):
     # whatever calls on other arrays came before, so no call leaves state behind
     grid = PARITY_GRIDS[name]()
     s_weight = grid.s_grid.cell_measures
-    dirichlet = DirichletEnergy(grid, True, p, s_weight, delta)
+    dirichlet = DirichletEnergy(grid, True, p, 0.0, delta)
     first, second = bumpy(grid, 1), bumpy(grid, 2)
     for _ in range(2):
         for values in (first, second):
@@ -367,7 +394,7 @@ def test_state_energy_and_gradient_are_bit_identical(name, p, delta):
 def test_wall_stiffness_is_positive_definite(name):
     # the Dirichlet wall edge alone makes each 1-D p = 2 stiffness SPD
     grid = PARITY_GRIDS[name]()
-    dirichlet = DirichletEnergy(grid, True, 2.0, grid.s_grid.cell_measures)
+    dirichlet = DirichletEnergy(grid, True, 2.0)
     for axis in range(1 if grid.t_grid is None else 2):
         np.linalg.cholesky(dirichlet.stiffness(axis).toarray())
 

@@ -1,9 +1,11 @@
 """The project declares no linter, so these tests guard two lint rules.
 Every package module other than `__init__` uses each name it imports: the
 benchmark's tracer wraps names such as `hardysym.minimizer.hs_constraint`,
-and an import kept only for it would time nothing.  And every private
+and an import kept only for it would time nothing.  Every private
 module-level function or method is referenced somewhere in the package, so
-dead helpers are deleted rather than kept beside their replacements."""
+dead helpers are deleted rather than kept beside their replacements.  And
+only `grid` forms the |y|^a cell weight: no other module calls
+`weight_average`."""
 
 import ast
 from pathlib import Path
@@ -66,3 +68,23 @@ def test_guard_finds_an_unreferenced_private_definition():
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(p.read_text() for p in sorted(PACKAGE.glob("*.py"))) == []
+
+
+def weight_average_calls(source: str) -> int:
+    """Number of calls of a `weight_average` attribute in `source`."""
+    return sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "weight_average"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_guard_finds_a_weight_average_call():
+    assert weight_average_calls("w = grid.s_grid.weight_average(-beta)[:, None] * grid.cell_measures\n") == 1
+    assert weight_average_calls("w = grid.cell_weight(-beta)\n") == 0
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "grid.py"), ids=lambda p: p.stem
+)
+def test_only_grid_forms_the_cell_weight(path):
+    assert weight_average_calls(path.read_text()) == 0

@@ -240,7 +240,7 @@ def test_each_gradient_is_that_of_the_accepted_iterate(monkeypatch, params, grid
     tr = minimize_hs(params, grid, opts=DescentOptions(max_iter=40))
     (dirichlet,) = made
     assert len(dirichlet.calls) >= len(tr.quotients) - 1 >= 10
-    fresh = DirichletEnergy(grid, True, params.p, grid.s_grid.cell_measures, tr.delta_reg)
+    fresh = DirichletEnergy(grid, True, params.p, 0.0, tr.delta_reg)
     for energy, (values, grad) in zip(tr.energies, dirichlet.calls):
         assert fresh.energy(values) == energy
         assert np.array_equal(grad, fresh.gradient(values))
@@ -274,7 +274,7 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     # ns != nt on every cylinder, so a transposed eigenbasis cannot pass
     g = CylGrid(s_grid, t_grid)
     ms, mt = s_grid.cell_measures, g.t_measures
-    dirichlet = DirichletEnergy(g, True, 2.0, ms)
+    dirichlet = DirichletEnergy(g, True, 2.0)
     P = sp.kron(dirichlet.stiffness(0), sp.diags(mt))
     if t_grid is not None:
         P = P + sp.kron(sp.diags(ms), dirichlet.stiffness(1))

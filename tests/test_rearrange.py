@@ -173,7 +173,7 @@ def per_slice_reference(values, measures):
     return values[order][np.minimum(idx, len(values) - 1)]
 
 
-@pytest.mark.parametrize("grading, options", [("uniform", {}), ("geometric", {"ratio": 1.08})])
+@pytest.mark.parametrize("grading, options", [("uniform", {}), ("geometric", {"first_width": 0.1})])
 def test_schwarz_weighted_path_matches_per_slice_reference(grading, options):
     # non-square, unequal cell measures along both axes, tied values
     g = CylGrid(
@@ -193,7 +193,7 @@ def test_schwarz_weighted_path_matches_per_slice_reference(grading, options):
 
 
 def test_radial_weighted_path_matches_per_slice_reference():
-    g = make_radial_grid(3, 1.0, 30, "geometric", ratio=1.1)
+    g = make_radial_grid(3, 1.0, 30, "geometric", first_width=6e-3)
     rng = np.random.default_rng(22)
     u = GridFunction(g, rng.integers(0, 6, size=30) / 5.0)
     expect = per_slice_reference(u.values, g.cell_measures)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import eigh_tridiagonal
+
 from hardysym import (
     ConfigurationError,
+    CylGrid,
     DomainError,
     GridFunction,
     Params,
@@ -18,6 +21,7 @@ from hardysym import (
     eps_sweep,
     hardy_constant,
     make_radial_grid,
+    product_family,
     split_infimum_demo,
     sphere_area,
     tail_correction,
@@ -130,6 +134,36 @@ def test_convexity_bound_property(s, t, lam, p):
 def test_dirichlet_eigenvalue_oracle():
     assert dirichlet_eigenvalue_interval(1.0) == pytest.approx(math.pi**2, rel=1e-6)
     assert dirichlet_eigenvalue_interval(2.0) == pytest.approx(math.pi**2 / 4, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 512])
+def test_dirichlet_eigenvalue_is_the_tridiagonal_eigenvalue(n):
+    # the smallest eigenvalue of tridiag(-1, 2, -1) / h^2 on the n - 1 interior
+    # nodes; the solver's relative error is about kappa * eps, with kappa =
+    # cot^2(pi / 2n) the matrix's condition number
+    kappa = 1.0 / math.tan(math.pi / (2 * n)) ** 2
+    for width in (1.0, 0.7):
+        h = width / n
+        diagonal, off = np.full(n - 1, 2.0 / h**2), np.full(n - 2, -1.0 / h**2)
+        reference = eigh_tridiagonal(diagonal, off, select="i", select_range=(0, 0), eigvals_only=True)[0]
+        rel = 4.0 * kappa * np.finfo(float).eps
+        assert dirichlet_eigenvalue_interval(width, n) == pytest.approx(reference, rel=rel)
+    with pytest.raises(ConfigurationError):
+        dirichlet_eigenvalue_interval(1.0, 1)
+
+
+def test_product_family_is_v_times_the_scaled_bump():
+    grid = CylGrid(make_radial_grid(3, 2.0, 12, "uniform"), make_radial_grid(2, 5.0, 40, "uniform"))
+    v = GridFunction(grid.s_grid, np.exp(-grid.s_nodes))
+    lam = 3.0
+    u = product_family(v, lam, grid)
+    x = grid.t_nodes / lam
+    inside = x < 1.0
+    assert np.array_equal(u.values[:, inside], np.outer(v.values, (1.0 - x[inside] ** 2) ** 2))
+    assert np.all(u.values[:, ~inside] == 0.0) and np.any(~inside)
+    assert np.array_equal(product_family(v, 5.0, grid).values > 0, np.ones(grid.shape, bool))
+    with pytest.raises(ConfigurationError):
+        product_family(v, 5.5, grid)
 
 
 def test_split_infimum_demo_converges():
