@@ -5,8 +5,8 @@ Everything downstream reduces N-dimensional integrals with power weights in
 exact integration of r^(d-1) over each cell, so singular-but-integrable
 weights near the origin carry no quadrature penalty.  DirichletEnergy is the
 one discrete p-Dirichlet energy on them: its energy and exact gradient are
-computed from cell values alone, and its p = 2 stiffness builds the
-minimizer's metric.
+computed from cell values alone, and the bands of its tridiagonal p = 2
+stiffness build the minimizer's metric.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, DomainError, UsageError
 
@@ -128,7 +127,8 @@ def radial_grid_from_edges(d: int, edges, grading: Optional[dict] = None) -> Rad
     if len(edges) < 2:
         raise ConfigurationError("need at least one cell")
     nodes = 0.5 * (edges[:-1] + edges[1:])
-    # np.diff of rounded powers keeps measure additivity exact under cell merging
+    # differences of the rounded powers edges^d: merging two cells keeps
+    # their summed measure only to rounding, a few ulps, not exactly
     measures = sphere_area(d) / d * np.diff(edges ** d)
     return RadialGrid(d, edges, nodes, measures, grading or {"kind": "explicit"})
 
@@ -386,7 +386,7 @@ def _spread(cell: np.ndarray, axis: int) -> np.ndarray:
 class DirichletEnergy:
     """The discrete p-Dirichlet energy, the sum over cells of
     (|grad u|^2 + delta^2)^(p/2) * grid.cell_weight(a), with its exact
-    gradient and its p = 2 stiffness.
+    gradient and the tridiagonal bands of its p = 2 stiffness.
 
     grad u is taken by forward differences on cell edges.  Along each
     radius the edges are the origin edge, the interior edges between
@@ -487,13 +487,22 @@ class DirichletEnergy:
             grad -= flux_t[:, 1:]
         return grad
 
-    def stiffness(self, axis: int) -> sp.csr_matrix:
-        """The 1-D p = 2 stiffness D^T diag(k) D along s (axis 0) or t (axis 1):
-        D the edge differences, k the cell measures spread to the edges."""
+    def stiffness(self, axis: int) -> tuple:
+        """The 1-D p = 2 stiffness D^T diag(k) D along s (axis 0) or t (axis 1),
+        D the edge differences and k the cell measures spread to the edges,
+        as the (diagonal, off_diagonal) bands of that symmetric tridiagonal
+        matrix.  D[i, i] = a[i] and D[i + 1, i] = -b[i], so row i of the
+        product is a[i]^2 k[i] + b[i]^2 k[i + 1] on the diagonal and
+        -b[i] k[i + 1] a[i + 1] right of it, each formed in the order of the
+        sparse product D.T @ diag(k) @ D, so the bands equal it bit for bit."""
         radial, inv_d = (self.grid.s_grid, self.inv_ds) if axis == 0 else (self.grid.t_grid, self.inv_dt)
-        n = radial.n  # D[i, i] = inv_d[i - 1] and D[i + 1, i] = -inv_d[i] on the interior and wall edges
-        D = sp.diags([-np.append(inv_d, 0.0)[:n], np.append(0.0, inv_d)[:n]], [-1, 0], shape=(n + 1, n))
-        return (D.T @ sp.diags(_spread(radial.cell_measures, 0)) @ D).tocsr()
+        n = radial.n
+        a = np.append(0.0, inv_d)[:n]  # the edge below each cell: the origin edge carries none
+        b = np.append(inv_d, 0.0)[:n]  # the edge above: the outer one only with the wall
+        k = _spread(radial.cell_measures, 0)
+        diagonal = (a * k[:-1]) * a + (b * k[1:]) * b
+        off_diagonal = -(b[:-1] * k[1:-1]) * a[1:]
+        return diagonal, off_diagonal
 
     # The gradient's loop invariants, formed on its first use: a one-shot
     # `energy` forms only block-sized weights.

@@ -1,6 +1,9 @@
 """Constrained minimization of the Hardy-Sobolev quotient by projected
 L-BFGS on cylindrical grid functions, plus the symmetrize-and-compare
-experiment and the beta = p endpoint sweep."""
+experiment and the beta = p endpoint sweep.
+
+scipy is imported only when a radial (k = N) metric is factored, so importing
+the package loads numpy alone."""
 
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, UsageError
 from .functionals import Params, hs_constraint, hs_quotient
@@ -119,10 +120,22 @@ def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFuncti
     return GridFunction(grid, values)
 
 
-def _generalized_eigh(A: sp.csr_matrix, measures: np.ndarray):
-    """Eigenpairs of the pencil (A, M), M = diag(measures): V.T A V = diag(lam), V.T M V = I."""
+def splu(A):
+    """Sparse LU factor of the csc matrix A, by scipy, imported on first use.
+    A module-level name, so that the benchmark's tracer can time it."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(A)
+
+
+def _generalized_eigh(bands: tuple, measures: np.ndarray):
+    """Eigenpairs of the pencil (A, M), A the symmetric tridiagonal matrix with
+    the (diagonal, off_diagonal) `bands` and M = diag(measures):
+    V.T A V = diag(lam), V.T M V = I.  A is assembled as a small dense matrix."""
+    diagonal, off_diagonal = bands
+    A = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     h = 1.0 / np.sqrt(measures)
-    lam, Q = np.linalg.eigh(h[:, None] * A.toarray() * h[None, :])
+    lam, Q = np.linalg.eigh(h[:, None] * A * h[None, :])
     return lam, h[:, None] * Q
 
 
@@ -136,17 +149,19 @@ def _build_preconditioner(grid: CylGrid, dirichlet: DirichletEnergy):
     definite.  Returns a callable that solves K for an (ns, nt) array.  A
     cylinder grid (m >= 1) gets the fast diagonalization method (Lynch, Rice
     & Thomas 1964): each solve is four dense matmuls in the generalized
-    eigenbases of the two 1-D pencils.  A radial grid (m = 0, where ns can
-    be thousands) gets a sparse LU of the tridiagonal matrix.
+    eigenbases of the two 1-D pencils, in numpy alone.  A radial grid
+    (m = 0, where ns can be thousands and K is As itself) gets a sparse LU
+    of the tridiagonal matrix, the one place the package imports scipy.
     """
-    ms = grid.s_grid.cell_measures
-    mt = grid.t_measures
     As = dirichlet.stiffness(0)
     if grid.t_grid is None:
-        lu = splu(sp.kron(As, sp.diags(mt)).tocsc())
+        import scipy.sparse as sp
+
+        diagonal, off_diagonal = As
+        lu = splu(sp.diags([off_diagonal, diagonal, off_diagonal], [-1, 0, 1], format="csc"))
         return lambda R: lu.solve(R.ravel()).reshape(R.shape)
-    lam_s, Vs = _generalized_eigh(As, ms)
-    lam_t, Vt = _generalized_eigh(dirichlet.stiffness(1), mt)
+    lam_s, Vs = _generalized_eigh(As, grid.s_grid.cell_measures)
+    lam_t, Vt = _generalized_eigh(dirichlet.stiffness(1), grid.t_measures)
     denom = lam_s[:, None] + lam_t[None, :]
     return lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T
 

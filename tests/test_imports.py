@@ -5,9 +5,14 @@ and an import kept only for it would time nothing.  Every private
 module-level function or method is referenced somewhere in the package, so
 dead helpers are deleted rather than kept beside their replacements.  And
 only `grid` forms the |y|^a cell weight: no other module calls
-`weight_average`."""
+`weight_average`.  A last guard keeps scipy out of `import hardysym` and of
+every default subcommand: only a radial (k = N) minimization imports it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +93,41 @@ def test_guard_finds_a_weight_average_call():
 )
 def test_only_grid_forms_the_cell_weight(path):
     assert weight_average_calls(path.read_text()) == 0
+
+
+SCIPY_GUARD = """
+import contextlib, io, json, sys
+import hardysym.cli
+from hardysym import CylGrid, DescentOptions, Params, make_radial_grid, minimize_hs
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for command in hardysym.cli.DEFAULTS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[command + " exit"] = hardysym.cli.main([command, "--out", sys.argv[1]])
+loaded["subcommands"] = scipy_modules()
+grid = CylGrid(make_radial_grid(3, 10.0, 32, "geometric", first_width=0.05))
+minimize_hs(Params.hardy_sobolev(N=3, k=3, p=2, beta=1), grid, "bump", DescentOptions(max_iter=5))
+loaded["radial minimize"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_imported_only_to_factor_a_radial_metric(tmp_path):
+    # a fresh interpreter, so that no other test's scipy import is seen
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import"] == []
+    assert loaded["subcommands"] == []
+    assert all(loaded[key] == 0 for key in loaded if key.endswith(" exit"))
+    # the guard is live: the radial metric's sparse LU does load scipy
+    assert "scipy.sparse.linalg" in loaded["radial minimize"]

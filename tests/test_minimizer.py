@@ -275,9 +275,14 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     g = CylGrid(s_grid, t_grid)
     ms, mt = s_grid.cell_measures, g.t_measures
     dirichlet = DirichletEnergy(g, True, 2.0)
-    P = sp.kron(dirichlet.stiffness(0), sp.diags(mt))
+
+    def stiffness(axis):
+        diagonal, off_diagonal = dirichlet.stiffness(axis)
+        return sp.diags([off_diagonal, diagonal, off_diagonal], [-1, 0, 1])
+
+    P = sp.kron(stiffness(0), sp.diags(mt))
     if t_grid is not None:
-        P = P + sp.kron(sp.diags(ms), dirichlet.stiffness(1))
+        P = P + sp.kron(sp.diags(ms), stiffness(1))
     R = np.random.default_rng(3).standard_normal(g.shape)
     expected = spsolve(P.tocsc(), R.ravel()).reshape(g.shape)
     solve = _build_preconditioner(g, dirichlet)
