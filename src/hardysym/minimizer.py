@@ -18,7 +18,7 @@ from .errors import ConfigurationError, DegenerateInputError, DomainError, Usage
 from .functionals import Params, hs_constraint, hs_quotient
 from .grid import CylGrid, DirichletEnergy, GridFunction, make_radial_grid, sphere_area
 from .rearrange import double_star
-from .sharp_constant import eps_family_truncated, product_family
+from .sharp_constant import _product_integrals, eps_family_truncated, product_family
 
 __all__ = [
     "DescentOptions",
@@ -350,9 +350,12 @@ def hardy_endpoint_sweep(
     n_s or n_t below 2, an n_t too coarse to sample the narrowest bump, a
     log_r_max <= 0 (the plateau family needs r_max > 1), and a log_r_max or
     a ladder whose grid volume, of order
-    r_max^k (1.05 lambda_max)^m, overflows float64.  Each rung's product
-    function is released before the next one is built, so the sweep holds
-    one grid function at a time.
+    r_max^k (1.05 lambda_max)^m, overflows float64.
+
+    At p = 2 each rung comes from 1-D factors on the two radii
+    (_product_integrals), so the sweep forms no (n_s, n_t) array.  At p != 2
+    the energy does not separate: each rung is hs_quotient of product_family,
+    released before the next rung is built.
     """
     if params.beta is None or abs(params.beta - params.p) > 1e-12:
         raise DomainError("endpoint sweep requires beta = p (so q = p)")
@@ -410,18 +413,22 @@ def hardy_endpoint_sweep(
     rows = []
     for eps, lam in ladder:
         v = eps_family_truncated(eps, p, -p, s_grid)
-        u = product_family(v, lam, grid)
-        rep = hs_quotient(u, params)
-        del u, v  # free this rung before product_family builds the next
+        if p == 2.0:
+            numerator, constraint = _product_integrals(v, lam, grid, p, params.q, -params.beta)
+            denominator = constraint ** (p / params.q)
+            quotient = numerator / denominator
+        else:
+            rep = hs_quotient(product_family(v, lam, grid), params)
+            numerator, denominator, quotient = rep.numerator, rep.denominator, rep.value
         rows.append(
             {
                 "eps": eps,
                 "lambda": lam,
-                "numerator": rep.numerator,
-                "denominator": rep.denominator,
-                "quotient": rep.value,
+                "numerator": numerator,
+                "denominator": denominator,
+                "quotient": quotient,
                 "target": target,
-                "rel_gap": (rep.value - target) / target,
+                "rel_gap": (quotient - target) / target,
             }
         )
     return rows

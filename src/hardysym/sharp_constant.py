@@ -179,14 +179,10 @@ def convexity_bound(s, t, lam, p):
     return lhs, rhs
 
 
-def product_family(v: GridFunction, lambda_scale: float, grid: CylGrid) -> GridFunction:
-    """Cylindrical sampling of u(y, z) = v(|y|) * w(|z| / lambda_scale), with
-    w(x) = (1 - min(x, 1)^2)^2 the bump supported on [0, 1].
-
-    Spreading w (lambda_scale -> infinity) makes the z-contribution to the
-    Dirichlet energy vanish relative to its mass, which is how the cylindrical
-    sharp constant is approached from above.
-    """
+def _bump(v: GridFunction, lambda_scale: float, grid: CylGrid) -> np.ndarray:
+    """The t-factor w(|z| / lambda_scale) of the product family at the
+    cylinder's t-nodes, with w(x) = (1 - min(x, 1)^2)^2 the bump supported on
+    [0, 1], once v and lambda_scale are checked against the cylinder."""
     if lambda_scale <= 0:
         raise DomainError("lambda_scale must be positive")
     if grid.m < 1:
@@ -197,8 +193,43 @@ def product_family(v: GridFunction, lambda_scale: float, grid: CylGrid) -> GridF
         raise ConfigurationError(
             f"scaled support {lambda_scale:g} exceeds t-grid r_max {grid.t_grid.r_max:g}"
         )
-    w = (1.0 - np.minimum(grid.t_nodes / lambda_scale, 1.0) ** 2) ** 2
-    return GridFunction(grid, np.outer(v.values, w))
+    return (1.0 - np.minimum(grid.t_nodes / lambda_scale, 1.0) ** 2) ** 2
+
+
+def product_family(v: GridFunction, lambda_scale: float, grid: CylGrid) -> GridFunction:
+    """Cylindrical sampling of u(y, z) = v(|y|) * w(|z| / lambda_scale), with
+    w(x) = (1 - min(x, 1)^2)^2 the bump supported on [0, 1].
+
+    Spreading w (lambda_scale -> infinity) makes the z-contribution to the
+    Dirichlet energy vanish relative to its mass, which is how the cylindrical
+    sharp constant is approached from above.  hardy_endpoint_sweep and
+    split_infimum_demo build it only at p != 2; at p = 2 their quotients come
+    from 1-D factors (_product_integrals).
+    """
+    return GridFunction(grid, np.outer(v.values, _bump(v, lambda_scale, grid)))
+
+
+def _product_integrals(
+    v: GridFunction, lambda_scale: float, grid: CylGrid, p: float, q: float, a: float, wall: bool = False
+) -> tuple:
+    """(weighted_dirichlet(u, p, 0.0, wall), weighted_p_norm(u, q, a)) of
+    u = product_family(v, lambda_scale, grid), equal up to rounding.
+
+    The norm is the product of the 1-D norms of v and w.  At p = 2 the
+    discrete energy splits exactly, E(v w) = E_s(v) M_t(w) + M_s(v) E_t(w),
+    into 1-D energies E and squared norms M on the cylinder's two radii, so
+    no (n_s, n_t) array is formed.  At p != 2 the energy does not separate
+    and is summed over product_family's grid function.
+    """
+    w = GridFunction(grid.t_grid, _bump(v, lambda_scale, grid))
+    v = GridFunction(grid.s_grid, v.values)  # the cylinder's own s-radius
+    norm = weighted_p_norm(v, q, a) * weighted_p_norm(w, q, 0.0)
+    if p == 2.0:
+        m_v, m_w = weighted_p_norm(v, 2.0, 0.0), weighted_p_norm(w, 2.0, 0.0)
+        energy = weighted_dirichlet(v, 2.0, 0.0, wall) * m_w + m_v * weighted_dirichlet(w, 2.0, 0.0, wall)
+    else:
+        energy = weighted_dirichlet(product_family(v, lambda_scale, grid), p, 0.0, wall=wall)
+    return energy, norm
 
 
 def dirichlet_eigenvalue_interval(width: float, n: int = 8192) -> float:
@@ -222,8 +253,11 @@ def split_infimum_demo(
     of the 512-interval oracle `dirichlet_eigenvalue_interval`; the x2-grid
     has 2048 cells out to 1.05 max(lambda).  v(r) = cos(pi r / omega_width)
     is the first Dirichlet eigenfunction and w product_family's bump; the
-    energy has the Dirichlet wall edge at the outer end of both radii.  Returns
-    per-lambda quotients plus the discrete Omega-only infimum.
+    energy has the Dirichlet wall edge at the outer end of both radii.  At
+    p = 2 each rung comes from 1-D factors, with no 256 x 2048 array; at
+    p != 2 its energy is summed over product_family's grid function
+    (_product_integrals).  Returns per-lambda quotients plus the discrete
+    Omega-only infimum.
     """
     if len(lambda_scales) == 0:
         raise ConfigurationError("lambda ladder must be non-empty")
@@ -239,9 +273,7 @@ def split_infimum_demo(
     v = GridFunction(grid.s_grid, np.cos(math.pi * grid.s_nodes / omega_width))
     rows = []
     for lam in sorted(lambda_scales):
-        u = product_family(v, lam, grid)
-        num = weighted_dirichlet(u, p, 0.0, wall=True)
-        den = weighted_p_norm(u, p, 0.0)
+        num, den = _product_integrals(v, lam, grid, p, p, 0.0, wall=True)
         rows.append(
             {
                 "lambda": lam,

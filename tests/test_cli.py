@@ -299,6 +299,23 @@ def test_product_sweep_json(tmp_path):
     assert len(payload["rows"]) == 5
 
 
+def test_product_sweep_refined_twice(tmp_path):
+    # --refine 2 is 16384 x 2048 cells, affordable because the p = 2 rungs are
+    # taken from 1-D factors; the finer ladder sits closer to ((k - p)/p)^p
+    best = {}
+    for refine in (0, 2):
+        out = tmp_path / str(refine)
+        out.mkdir()
+        assert run(["product-sweep", "--refine", str(refine), "--format", "json"], out) == 0
+        rows = json.loads((out / "product_sweep.json").read_text())["rows"]
+        quotients = [row["quotient"] for row in rows]
+        assert len(rows) == 5
+        assert all(a > b for a, b in zip(quotients, quotients[1:]))
+        assert all(q > 0.25 for q in quotients)  # ((k - p)/p)^p at the defaults k = 3, p = 2
+        best[refine] = quotients[-1] - rows[-1]["target"]
+    assert 0 < best[2] < best[0]
+
+
 def test_properties_clean(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 2000}))
