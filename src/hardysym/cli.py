@@ -269,7 +269,10 @@ def cmd_split_demo(cfg: dict) -> int:
 
 
 def cmd_properties(cfg: dict) -> int:
-    """Randomized rearrangement/convexity self-checks."""
+    """Randomized rearrangement/convexity self-checks. The convexity bound is
+    checked on all `trials` samples; the rearrangement checks
+    (equimeasurability, idempotence, Hardy-Littlewood) run on min(trials, 200)
+    random functions on a 64-cell radial grid."""
     rng = np.random.default_rng(cfg["seed"])
     n_trials = cfg["trials"]
     results = {}

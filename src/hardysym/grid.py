@@ -11,7 +11,6 @@ stiffness build the minimizer's metric.  The module needs numpy only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -321,9 +320,9 @@ class GridFunction:
         expected = self.grid.shape if isinstance(self.grid, CylGrid) else (self.grid.n,)
         if values.shape != expected:
             raise UsageError(f"values shape {values.shape} does not match grid {expected}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("grid function values must be finite")
-        if np.any(values < 0):
+        if (values < 0).any():
             raise DomainError("grid function values must be nonnegative")
         values.setflags(write=False)
 
@@ -522,14 +521,20 @@ class DirichletEnergy:
 
 
 def grid_function_to_csv(u: GridFunction, path) -> None:
-    """Export a grid function as rows (s, t, value, cell_measure)."""
+    """Export a grid function as rows (s, t, value, cell_measure).
+
+    The bytes are those of a default `csv.writer` (comma-separated, CRLF
+    line ends) with every cell formatted as `%.17g`; no cell needs quoting.
+    Each node is formatted once, and the file is written one s-row at a time,
+    so no whole-file string is formed.
+    """
     values, grid = as_2d(u)
-    measures = grid.cell_measures
+    t_cells = ["%.17g" % t for t in grid.t_nodes.tolist()]
+    t_measures = grid.t_measures
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "t", "value", "cell_measure"])
-        for i, s in enumerate(grid.s_nodes):
-            for j, t in enumerate(grid.t_nodes):
-                writer.writerow(
-                    [f"{s:.17g}", f"{t:.17g}", f"{values[i, j]:.17g}", f"{measures[i, j]:.17g}"]
-                )
+        fh.write("s,t,value,cell_measure\r\n")
+        for s, row, s_measure in zip(grid.s_nodes.tolist(), values, grid.s_grid.cell_measures.tolist()):
+            prefix = "%.17g," % s
+            # s_measure * t_measures is the row of np.outer in cell_measures
+            cells = zip(t_cells, row.tolist(), (s_measure * t_measures).tolist())
+            fh.write("".join(["%s%s,%.17g,%.17g\r\n" % (prefix, t, v, m) for t, v, m in cells]))

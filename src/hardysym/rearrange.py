@@ -5,7 +5,9 @@ Rearrangement keeps cell geometry fixed and reassigns values.  One routine,
 cells each slice is an exact descending sort; on weighted cells the sorted
 layer-cake profile is sampled at each cell's cumulative-measure start, which
 preserves superlevel-set measures up to single-cell granularity.  The Schwarz
-passes in |y| and in |z| are that routine along each axis.
+passes in |y| and in |z| are that routine along each axis.  On a grid with
+no t-axis (k = N) the |z| pass is the identity and returns its input, so
+`double_star` there is the |y| pass alone.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ def _rearrange(values: np.ndarray, measures: np.ndarray) -> np.ndarray:
     """
     if values.ndim != 2 or measures.shape != values.shape[:1]:
         raise UsageError("values and measures must have matching length")
-    if not np.all(values >= 0):
+    if not (values >= 0).all():
         raise DomainError("rearrangement requires nonnegative values")
-    if np.any(measures <= 0):
+    if (measures <= 0).any():
         raise ConfigurationError("zero or negative cell measures")
-    if np.all(np.abs(measures - measures[0]) <= 1e-9 * measures[0]):
+    if (np.abs(measures - measures[0]) <= 1e-9 * measures[0]).all():
         return -np.sort(-values, axis=0)
     order = np.argsort(-values, axis=0, kind="stable")
     sorted_vals = np.take_along_axis(values, order, axis=0)
@@ -71,8 +73,14 @@ def schwarz_y(u: GridFunction) -> GridFunction:
 
 
 def schwarz_z(u: GridFunction) -> GridFunction:
-    """Slice-wise decreasing rearrangement in |z| for each fixed |y|."""
+    """Slice-wise decreasing rearrangement in |z| for each fixed |y|.
+
+    On a grid with no t-axis (k = N) it returns u itself: `as_2d` views that
+    grid as one t-cell of measure 1, where a rearrangement is the identity.
+    """
     values, grid = as_2d(u)
+    if grid.t_grid is None:
+        return u
     out = _rearrange(values.T, grid.t_measures).T
     return GridFunction(u.grid, out.reshape(u.values.shape))
 

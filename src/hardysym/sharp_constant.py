@@ -187,8 +187,14 @@ def _bump(v: GridFunction, lambda_scale: float, grid: CylGrid) -> np.ndarray:
         raise DomainError("lambda_scale must be positive")
     if grid.m < 1:
         raise DomainError("product family needs m = N - k >= 1")
-    if v.grid.n != grid.s_grid.n or v.grid.dim != grid.k:
-        raise ConfigurationError("v must live on the cylinder's s-grid")
+    if v.grid is not grid.s_grid:
+        differs = [
+            name
+            for name in ("dim", "edges", "nodes", "cell_measures")
+            if not np.array_equal(getattr(v.grid, name, None), getattr(grid.s_grid, name))
+        ]
+        if differs:
+            raise ConfigurationError(f"v must live on the cylinder's s-grid; its {', '.join(differs)} differ")
     if lambda_scale > grid.t_grid.r_max:
         raise ConfigurationError(
             f"scaled support {lambda_scale:g} exceeds t-grid r_max {grid.t_grid.r_max:g}"

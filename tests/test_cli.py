@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from hardysym import GridFunction
 from hardysym.cli import DEFAULTS, build_parser, main
 
 SCALAR_SETTINGS = [
@@ -331,6 +333,34 @@ def test_properties_violation_exit_code(tmp_path, monkeypatch):
     assert code == 3
     payload = json.loads((tmp_path / "properties.json").read_text())
     assert payload["convexity_violations"] == 10
+
+
+def _not_equimeasurable(values, measures):
+    return np.zeros_like(values)
+
+
+def _not_idempotent(u):
+    # each application adds one to the last cell, so u** != u****
+    values = np.array(u.values)
+    values[-1] += 1.0
+    return GridFunction(u.grid, values)
+
+
+@pytest.mark.parametrize(
+    "name, fault, counter",
+    [
+        ("decreasing_rearrangement_1d", _not_equimeasurable, "equimeasurability_failures"),
+        ("double_star", _not_idempotent, "idempotence_failures"),
+        ("hardy_littlewood_check", lambda u, v: (1.0, 0.5), "hardy_littlewood_violations"),
+    ],
+)
+def test_properties_rearrangement_counters_fire(tmp_path, monkeypatch, name, fault, counter):
+    monkeypatch.setattr(f"hardysym.cli.{name}", fault)
+    code = run(["properties", "--trials", "10"], tmp_path)
+    assert code == 3
+    payload = json.loads((tmp_path / "properties.json").read_text())
+    assert payload.pop("schema_version") == 1
+    assert payload == {**dict.fromkeys(payload, 0), counter: 10}
 
 
 @pytest.mark.parametrize(

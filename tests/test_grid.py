@@ -19,7 +19,7 @@ from hardysym import (
     sphere_area,
     weighted_dirichlet,
 )
-from hardysym.grid import BLOCK_CELLS, DirichletEnergy
+from hardysym.grid import BLOCK_CELLS, DirichletEnergy, as_2d
 
 GRADINGS = [
     ("uniform", {}),
@@ -475,6 +475,55 @@ def test_grid_function_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,t,value,cell_measure"
     assert len(lines) == 7
+
+
+def reference_grid_function_csv(u, path):
+    """The csv.writer export that grid_function_to_csv must match byte for byte."""
+    import csv
+
+    values, grid = as_2d(u)
+    measures = grid.cell_measures
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s", "t", "value", "cell_measure"])
+        for i, s in enumerate(grid.s_nodes):
+            for j, t in enumerate(grid.t_nodes):
+                writer.writerow([f"{s:.17g}", f"{t:.17g}", f"{values[i, j]:.17g}", f"{measures[i, j]:.17g}"])
+
+
+STRESS_VALUES = [0.1, 1.0 / 3.0, 1e-300, 0.0, 1.2345678901234567]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cylinder", "radial", "radial-cylinder", "stress"],
+)
+def test_grid_function_csv_matches_the_csv_writer_bytes(tmp_path, case):
+    from hardysym import grid_function_to_csv
+
+    rng = np.random.default_rng(31)
+    sg = make_radial_grid(2, 8.0, 12, "geometric", first_width=1e-3)
+    tg = make_radial_grid(2, 8.0, 7, "equimeasure")
+    if case == "cylinder":
+        u = GridFunction(CylGrid(sg, tg), rng.uniform(size=(12, 7)))
+    elif case == "radial":
+        u = GridFunction(sg, rng.uniform(size=12))
+    elif case == "radial-cylinder":
+        u = GridFunction(CylGrid(sg), rng.uniform(size=(12, 1)))
+    else:
+        g = make_radial_grid(3, 1.0, len(STRESS_VALUES), "uniform")
+        u = GridFunction(g, np.array(STRESS_VALUES))
+    path, expected = tmp_path / "u.csv", tmp_path / "reference.csv"
+    grid_function_to_csv(u, path)
+    reference_grid_function_csv(u, expected)
+    assert path.read_bytes() == expected.read_bytes()
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-1] == b"" and len(lines) == 2 + u.values.size
+    if case != "cylinder":
+        assert all(line.split(b",")[1] == b"0" for line in lines[1:-1])
+    if case == "stress":
+        cells = [line.split(b",")[2] for line in lines[1:-1]]
+        assert cells == [b"0.10000000000000001", b"0.33333333333333331", b"1e-300", b"0", b"1.2345678901234567"]
 
 
 @given(

@@ -203,6 +203,19 @@ def test_radial_weighted_path_matches_per_slice_reference():
     assert np.array_equal(schwarz_z(u).values, u.values)
 
 
+@pytest.mark.parametrize("cylinder", [False, True])
+def test_schwarz_z_is_the_identity_without_a_t_axis(cylinder):
+    # a grid with no t-axis is one t-cell of measure 1: schwarz_z returns its
+    # input, and double_star is schwarz_y alone
+    s_grid = make_radial_grid(3, 1.0, 30, "geometric", first_width=6e-3)
+    g = CylGrid(s_grid) if cylinder else s_grid
+    rng = np.random.default_rng(23)
+    u = GridFunction(g, rng.uniform(size=(30, 1) if cylinder else 30))
+    assert schwarz_z(u) is u
+    assert np.array_equal(schwarz_z(u).values, u.values)
+    assert np.array_equal(double_star(u).values, schwarz_y(u).values)
+
+
 # ---------------------------------------------------------------------------
 # inequalities
 

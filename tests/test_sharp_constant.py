@@ -166,6 +166,20 @@ def test_product_family_is_v_times_the_scaled_bump():
         product_family(v, 5.5, grid)
 
 
+def test_product_family_rejects_v_from_another_s_grid():
+    grid = CylGrid(make_radial_grid(3, 5.0, 12, "uniform"), make_radial_grid(1, 5.0, 40, "uniform"))
+    other = make_radial_grid(3, 2.0, 12, "geometric", first_width=0.01)
+    with pytest.raises(ConfigurationError, match="its edges, nodes, cell_measures differ"):
+        product_family(GridFunction(other, np.ones(12)), 3.0, grid)
+    with pytest.raises(ConfigurationError, match="its dim, cell_measures differ"):
+        product_family(GridFunction(make_radial_grid(2, 5.0, 12, "uniform"), np.ones(12)), 3.0, grid)
+    # an equal grid built separately is the cylinder's s-grid
+    twin = make_radial_grid(3, 5.0, 12, "uniform")
+    assert twin is not grid.s_grid
+    v = GridFunction(twin, np.exp(-twin.nodes))
+    assert np.array_equal(product_family(v, 3.0, grid).values, product_family(GridFunction(grid.s_grid, v.values), 3.0, grid).values)
+
+
 def test_split_infimum_demo_converges():
     result = split_infimum_demo()
     rows = result["rows"]
