@@ -1,15 +1,13 @@
 """Constrained minimization of the Hardy-Sobolev quotient by projected
 L-BFGS on cylindrical grid functions, plus the symmetrize-and-compare
-experiment and the beta = p endpoint sweep.
-
-scipy is imported only when a radial (k = N) metric is factored, so importing
-the package loads numpy alone."""
+experiment and the beta = p endpoint sweep."""
 
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -120,12 +118,16 @@ def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFuncti
     return GridFunction(grid, values)
 
 
-def splu(A):
-    """Sparse LU factor of the csc matrix A, by scipy, imported on first use.
-    A module-level name, so that the benchmark's tracer can time it."""
-    from scipy.sparse.linalg import splu as superlu
-
-    return superlu(A)
+def splu(bands: tuple):
+    """Exact factor of the radial metric K = G^T diag(c) G from its (diagonal,
+    off_diagonal) bands, those of DirichletEnergy.stiffness(0).  G u is
+    u[i + 1] - u[i], with u = 0 past the wall, and the edge weights c are
+    -off_diagonal, then the wall row's sum, so solve(b) is
+    revcumsum(cumsum(b) / c).  A module-level name with a solve method, so
+    that the benchmark's tracer can time the factor and each solve."""
+    diagonal, off_diagonal = bands
+    c = np.append(-off_diagonal, diagonal[-1] + off_diagonal[-1] if off_diagonal.size else diagonal[0])
+    return SimpleNamespace(solve=lambda b: np.cumsum((np.cumsum(b) / c)[::-1])[::-1])
 
 
 def _generalized_eigh(bands: tuple, measures: np.ndarray):
@@ -149,16 +151,13 @@ def _build_preconditioner(grid: CylGrid, dirichlet: DirichletEnergy):
     definite.  Returns a callable that solves K for an (ns, nt) array.  A
     cylinder grid (m >= 1) gets the fast diagonalization method (Lynch, Rice
     & Thomas 1964): each solve is four dense matmuls in the generalized
-    eigenbases of the two 1-D pencils, in numpy alone.  A radial grid
-    (m = 0, where ns can be thousands and K is As itself) gets a sparse LU
-    of the tridiagonal matrix, the one place the package imports scipy.
+    eigenbases of the two 1-D pencils.  On a radial grid (m = 0, where ns can
+    be thousands and K is As itself) the edge differences are bidiagonal, so
+    splu solves K by two cumulative sums.
     """
     As = dirichlet.stiffness(0)
     if grid.t_grid is None:
-        import scipy.sparse as sp
-
-        diagonal, off_diagonal = As
-        lu = splu(sp.diags([off_diagonal, diagonal, off_diagonal], [-1, 0, 1], format="csc"))
+        lu = splu(As)
         return lambda R: lu.solve(R.ravel()).reshape(R.shape)
     lam_s, Vs = _generalized_eigh(As, grid.s_grid.cell_measures)
     lam_t, Vt = _generalized_eigh(dirichlet.stiffness(1), grid.t_measures)

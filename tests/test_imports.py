@@ -5,8 +5,9 @@ and an import kept only for it would time nothing.  Every private
 module-level function or method is referenced somewhere in the package, so
 dead helpers are deleted rather than kept beside their replacements.  And
 only `grid` forms the |y|^a cell weight: no other module calls
-`weight_average`.  A last guard keeps scipy out of `import hardysym` and of
-every default subcommand: only a radial (k = N) minimization imports it."""
+`weight_average`.  A last guard keeps scipy out of `import hardysym`, of
+every default subcommand and of a radial (k = N) minimization: scipy is a
+test dependency only."""
 
 import ast
 import json
@@ -111,11 +112,13 @@ loaded["subcommands"] = scipy_modules()
 grid = CylGrid(make_radial_grid(3, 10.0, 32, "geometric", first_width=0.05))
 minimize_hs(Params.hardy_sobolev(N=3, k=3, p=2, beta=1), grid, "bump", DescentOptions(max_iter=5))
 loaded["radial minimize"] = scipy_modules()
+import scipy.sparse
+loaded["explicit import"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_is_imported_only_to_factor_a_radial_metric(tmp_path):
+def test_no_scipy_is_imported_at_runtime(tmp_path):
     # a fresh interpreter, so that no other test's scipy import is seen
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
@@ -129,5 +132,6 @@ def test_scipy_is_imported_only_to_factor_a_radial_metric(tmp_path):
     assert loaded["import"] == []
     assert loaded["subcommands"] == []
     assert all(loaded[key] == 0 for key in loaded if key.endswith(" exit"))
-    # the guard is live: the radial metric's sparse LU does load scipy
-    assert "scipy.sparse.linalg" in loaded["radial minimize"]
+    assert loaded["radial minimize"] == []
+    # the guard is live: it sees an explicit scipy import
+    assert "scipy.sparse" in loaded["explicit import"]

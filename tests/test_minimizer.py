@@ -25,7 +25,7 @@ from hardysym import (
     weighted_dirichlet,
 )
 from hardysym.grid import DirichletEnergy
-from hardysym.minimizer import _build_preconditioner
+from hardysym.minimizer import _build_preconditioner, splu
 
 HS_PARAMS = Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
 
@@ -291,6 +291,32 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     grad = dirichlet.gradient(R)
     back = solve(0.5 * grad)
     assert np.max(np.abs(back - R)) <= 1e-12 * np.max(np.abs(R))
+
+
+@pytest.mark.parametrize(
+    "radial",
+    [
+        make_radial_grid(3, 1000.0, 200, "geometric", first_width=1e-2),
+        make_radial_grid(3, 1000.0, 500, "geometric", first_width=1e-2),
+        make_radial_grid(4, 8.0, 64, "equimeasure"),
+        make_radial_grid(3, 8.0, 4096, "uniform"),
+        make_radial_grid(3, 8.0, 1, "uniform"),
+    ],
+    ids=["geometric-200", "geometric-500", "equimeasure-64", "uniform-4096", "one-cell"],
+)
+def test_radial_factor_matches_sparse_solve(radial):
+    # the two cumulative sums against a sparse direct solve of the same bands
+    g = CylGrid(radial)
+    dirichlet = DirichletEnergy(g, True, 2.0)
+    diagonal, off_diagonal = dirichlet.stiffness(0)
+    K = sp.diags([off_diagonal, diagonal, off_diagonal], [-1, 0, 1], shape=(radial.n, radial.n), format="csc")
+    lu = splu((diagonal, off_diagonal))
+    for b in np.random.default_rng(5).standard_normal((20, radial.n)):
+        x = lu.solve(b)
+        expected = spsolve(K, b)
+        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(K @ x - b)) <= 1e-10 * np.max(np.abs(b))
+    assert _build_preconditioner(g, dirichlet)(np.ones(g.shape)).shape == (radial.n, 1)
 
 
 def test_symmetrize_and_compare_fixed_point():
