@@ -310,8 +310,12 @@ def symmetrize_and_compare(u: GridFunction, params: Params) -> dict:
     """Apply the double symmetrization and report quotients before and after.
 
     Both functions are renormalized to constraint value 1; the quotient is
-    scale-invariant so the comparison is unaffected.  After-symmetrization
-    quotients never exceed the original beyond a refinement-shrinking slack.
+    scale-invariant so the comparison is unaffected.  On equal-measure grids
+    the passes are exact sorts and the quotient does not rise.  On grids
+    with unequal cell measures the start-sampled passes are not
+    measure-preserving and can raise it by far more than rounding: on two
+    geometric n = 128 radii with an origin cell of 1/128, a three-bump input
+    goes from 6.635 to 9.060.
     """
     c_before = hs_constraint(u, params)
     if c_before <= 0:

@@ -4,10 +4,15 @@ Rearrangement keeps cell geometry fixed and reassigns values.  One routine,
 `_rearrange`, rearranges every slice of a 2-D array at once: on equal-measure
 cells each slice is an exact descending sort; on weighted cells the sorted
 layer-cake profile is sampled at each cell's cumulative-measure start, which
-preserves superlevel-set measures up to single-cell granularity.  The Schwarz
-passes in |y| and in |z| are that routine along each axis.  On a grid with
-no t-axis (k = N) the |z| pass is the identity and returns its input, so
-`double_star` there is the |y| pass alone.
+preserves superlevel-set measures up to single-cell granularity.  The
+weighted branch indexes every slice in one vectorized step: a single
+`searchsorted` of all sorted cumulative measures against the shared cell
+starts gives, for each sorted value, the first cell it no longer covers, and
+the values are repeated by the differences of those indices.  A weighted
+input that is already nonincreasing is its own rearrangement and is returned
+as a copy.  The Schwarz passes in |y| and in |z| are that routine along each
+axis.  On a grid with no t-axis (k = N) the |z| pass is the identity and
+returns its input, so `double_star` there is the |y| pass alone.
 """
 
 from __future__ import annotations
@@ -36,33 +41,60 @@ def _rearrange(values: np.ndarray, measures: np.ndarray) -> np.ndarray:
     """Weighted decreasing rearrangement of every column of `values` along axis 0.
 
     `measures` are the cell measures along axis 0, cells ordered by
-    increasing radius.  Each column becomes the nonincreasing assignment
-    whose superlevel sets occupy initial segments of matching cumulative
-    measure, up to single-cell granularity; on equal measures this is
-    exactly the descending sort.  Ties keep input order.
+    increasing radius; the caller validates both.  Each column becomes the
+    nonincreasing assignment whose superlevel sets occupy initial segments
+    of matching cumulative measure, up to single-cell granularity; on equal
+    measures this is exactly the descending sort.  Ties keep input order.
+
+    On unequal measures cell i takes the sorted value whose cumulative
+    measure interval contains the cell's start S_i (clamped to the last
+    sorted value).  Columns are copied to contiguous rows and sorted; then
+    one `searchsorted` of every sorted cumulative measure against the shared
+    starts, first = searchsorted(S, sorted_cum), indexes all of them with
+    exact float comparisons: sorted_cum[r] <= S_i holds exactly when
+    i >= first[r], so sorted value r fills the cells first[r-1] <= i <
+    first[r] (from 0 for r = 0) and the last one also fills the rest.  The
+    values are repeated by those counts.  An input already nonincreasing
+    along axis 0 is returned as a copy: its stable sort is the identity and
+    its two cumulative sums agree, so the index is i whenever every measure
+    survives its addition to the running total.  The weighted result is
+    C-ordered; the sort keeps the input's layout.
     """
-    if values.ndim != 2 or measures.shape != values.shape[:1]:
-        raise UsageError("values and measures must have matching length")
-    if not (values >= 0).all():
-        raise DomainError("rearrangement requires nonnegative values")
-    if (measures <= 0).any():
-        raise ConfigurationError("zero or negative cell measures")
     if (np.abs(measures - measures[0]) <= 1e-9 * measures[0]).all():
         return -np.sort(-values, axis=0)
-    order = np.argsort(-values, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(values, order, axis=0)
-    sorted_cum = np.cumsum(measures[order], axis=0)
+    if (values[1:] <= values[:-1]).all():
+        return np.array(values, order="C")
+    n, m = values.shape
+    slices = np.ascontiguousarray(values.T)
+    order = np.argsort(-slices, axis=1, kind="stable")
     starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
-    idx = np.column_stack([np.searchsorted(cum, starts, side="right") for cum in sorted_cum.T])
-    return np.take_along_axis(sorted_vals, np.minimum(idx, len(measures) - 1), axis=0)
+    first = np.searchsorted(starts, np.cumsum(measures.take(order), axis=1), side="left")
+    counts = np.diff(first, axis=1, prepend=0)
+    counts[:, -1] += n - first[:, -1]
+    order += np.arange(0, m * n, n)[:, None]  # flat indices into slices
+    rows = np.repeat(slices.take(order).ravel(), counts.ravel())
+    return np.ascontiguousarray(rows.reshape(m, n).T)
 
 
 def decreasing_rearrangement_1d(values, measures) -> np.ndarray:
     """Weighted decreasing rearrangement of cell values along one radius,
-    cells ordered by increasing radius (see `_rearrange`)."""
+    cells ordered by increasing radius (see `_rearrange`).
+
+    Values must be finite and nonnegative, measures finite and positive, and
+    both nonempty of one length.  The result never shares memory with
+    `values`.
+    """
     values = np.asarray(values, dtype=float)
     measures = np.asarray(measures, dtype=float)
-    return _rearrange(values[..., None], measures)[:, 0]
+    if values.ndim != 1 or values.shape != measures.shape or values.size == 0:
+        raise UsageError("values and measures must be nonempty and of matching length")
+    if not np.isfinite(values).all():
+        raise DomainError("rearrangement requires finite values")
+    if (values < 0).any():
+        raise DomainError("rearrangement requires nonnegative values")
+    if not (np.isfinite(measures) & (measures > 0)).all():
+        raise ConfigurationError("cell measures must be finite and positive")
+    return _rearrange(values[:, None], measures)[:, 0]
 
 
 def schwarz_y(u: GridFunction) -> GridFunction:
@@ -139,8 +171,12 @@ class PolyaSzegoReport:
 def polya_szego_check(u: GridFunction, p: float) -> PolyaSzegoReport:
     """p-energies of u, schwarz_y(u), double_star(u) and the measured violation.
 
-    The continuum chain is an inequality; discretely it holds within a slack
-    that shrinks under refinement for smooth inputs.
+    The continuum chain is an inequality.  On equal-measure grids the passes
+    are exact sorts and the discrete chain is measured to hold.  On grids
+    with unequal cell measures the start-sampled passes are not
+    measure-preserving and the chain can fail by a wide margin: a smooth
+    three-bump input on two geometric n = 128 radii with an origin cell of
+    1/128 reads E = 338.4, E* = 366.0 and E** = 484.3.
     """
     e_plain = weighted_dirichlet(u, p, 0.0)
     u_star = schwarz_y(u)
