@@ -4,11 +4,13 @@ minimization problem.
 
 Modules:
     grid            radial and cylindrical grids, grid functions, the discrete
-                    Dirichlet energy with its gradient and stiffness
+                    Dirichlet energy with its gradient and the edge weights
+                    of its p = 2 stiffness
     functionals     weighted norms, Dirichlet energies, Rayleigh quotients
     sharp_constant  closed-form constants and the sharpness test families
     rearrange       decreasing rearrangement and double Schwarz symmetrization
-    minimizer       projected L-BFGS descent on the constrained quotient
+    minimizer       projected L-BFGS descent on the constrained quotient,
+                    preconditioned by splu, the one factor of its metric
     cli             experiment runner (`hardysym` console script)
 """
 

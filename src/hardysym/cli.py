@@ -257,7 +257,6 @@ def cmd_minimize(cfg: dict) -> int:
 def cmd_split_demo(cfg: dict) -> int:
     """Product-domain infimum splitting vs 1D eigenvalue oracle."""
     result = split_infimum_demo(
-        p=cfg["p"],
         omega_width=cfg["omega_width"],
         lambda_scales=tuple(cfg["lambda_scales"]),
     )
@@ -334,7 +333,7 @@ DEFAULTS = {
         "max_iter": 2000, "out": ".", "seed": 0, "refine": 0,
     },
     "split-demo": {
-        "p": 2.0, "omega_width": 1.0, "lambda_scales": [1.0, 4.0, 16.0, 64.0],
+        "omega_width": 1.0, "lambda_scales": [1.0, 4.0, 16.0, 64.0],
         "format": "csv", "out": ".",
     },
     "properties": {"trials": 100000, "out": ".", "seed": 0},

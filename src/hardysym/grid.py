@@ -5,8 +5,8 @@ Everything downstream reduces N-dimensional integrals with power weights in
 exact integration of r^(d-1) over each cell, so singular-but-integrable
 weights near the origin carry no quadrature penalty.  DirichletEnergy is the
 one discrete p-Dirichlet energy on them: its energy and exact gradient are
-computed from cell values alone, and the bands of its tridiagonal p = 2
-stiffness build the minimizer's metric.  The module needs numpy only.
+computed from cell values alone, and the edge weights of its p = 2
+stiffness state the minimizer's metric.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ def _spread(cell: np.ndarray, axis: int) -> np.ndarray:
 class DirichletEnergy:
     """The discrete p-Dirichlet energy, the sum over cells of
     (|grad u|^2 + delta^2)^(p/2) * grid.cell_weight(a), with its exact
-    gradient and the tridiagonal bands of its p = 2 stiffness.
+    gradient and the edge weights of its p = 2 stiffness.
 
     grad u is taken by forward differences on cell edges.  Along each
     radius the edges are the origin edge, the interior edges between
@@ -486,22 +486,15 @@ class DirichletEnergy:
             grad -= flux_t[:, 1:]
         return grad
 
-    def stiffness(self, axis: int) -> tuple:
-        """The 1-D p = 2 stiffness D^T diag(k) D along s (axis 0) or t (axis 1),
-        D the edge differences and k the cell measures spread to the edges,
-        as the (diagonal, off_diagonal) bands of that symmetric tridiagonal
-        matrix.  D[i, i] = a[i] and D[i + 1, i] = -b[i], so row i of the
-        product is a[i]^2 k[i] + b[i]^2 k[i + 1] on the diagonal and
-        -b[i] k[i + 1] a[i + 1] right of it, each formed in the order of the
-        sparse product D.T @ diag(k) @ D, so the bands equal it bit for bit."""
+    def edge_weights(self, axis: int) -> np.ndarray:
+        """The edge weights c = k inv_d^2 of the 1-D p = 2 stiffness
+        D^T diag(k) D along s (axis 0) or t (axis 1), D the edge differences
+        and k the cell measures spread to the edges: the interior edges
+        first, then the wall edge when `wall` is set.  The origin edge
+        carries none.  The stiffness is tridiagonal, with the bands
+        append(0, c)[:n] + append(c, 0)[:n] and -c[:n - 1]."""
         radial, inv_d = (self.grid.s_grid, self.inv_ds) if axis == 0 else (self.grid.t_grid, self.inv_dt)
-        n = radial.n
-        a = np.append(0.0, inv_d)[:n]  # the edge below each cell: the origin edge carries none
-        b = np.append(inv_d, 0.0)[:n]  # the edge above: the outer one only with the wall
-        k = _spread(radial.cell_measures, 0)
-        diagonal = (a * k[:-1]) * a + (b * k[1:]) * b
-        off_diagonal = -(b[:-1] * k[1:-1]) * a[1:]
-        return diagonal, off_diagonal
+        return (inv_d * _spread(radial.cell_measures, 0)[1 : 1 + len(inv_d)]) * inv_d
 
     # The gradient's loop invariants, formed on its first use: a one-shot
     # `energy` forms only block-sized weights.

@@ -118,51 +118,42 @@ def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFuncti
     return GridFunction(grid, values)
 
 
-def splu(bands: tuple):
-    """Exact factor of the radial metric K = G^T diag(c) G from its (diagonal,
-    off_diagonal) bands, those of DirichletEnergy.stiffness(0).  G u is
-    u[i + 1] - u[i], with u = 0 past the wall, and the edge weights c are
-    -off_diagonal, then the wall row's sum, so solve(b) is
-    revcumsum(cumsum(b) / c).  A module-level name with a solve method, so
-    that the benchmark's tracer can time the factor and each solve."""
-    diagonal, off_diagonal = bands
-    c = np.append(-off_diagonal, diagonal[-1] + off_diagonal[-1] if off_diagonal.size else diagonal[0])
-    return SimpleNamespace(solve=lambda b: np.cumsum((np.cumsum(b) / c)[::-1])[::-1])
-
-
-def _generalized_eigh(bands: tuple, measures: np.ndarray):
-    """Eigenpairs of the pencil (A, M), A the symmetric tridiagonal matrix with
-    the (diagonal, off_diagonal) `bands` and M = diag(measures):
-    V.T A V = diag(lam), V.T M V = I.  A is assembled as a small dense matrix."""
-    diagonal, off_diagonal = bands
+def _generalized_eigh(c: np.ndarray, measures: np.ndarray):
+    """Eigenpairs of the pencil (A, M), A the 1-D p = 2 stiffness with edge
+    weights c (DirichletEnergy.edge_weights) and M = diag(measures):
+    V.T A V = diag(lam), V.T M V = I.  A is assembled from its bands as a
+    small dense tridiagonal matrix."""
+    n = len(measures)
+    diagonal, off_diagonal = np.append(0.0, c)[:n] + np.append(c, 0.0)[:n], -c[: n - 1]
     A = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     h = 1.0 / np.sqrt(measures)
     lam, Q = np.linalg.eigh(h[:, None] * A * h[None, :])
     return lam, h[:, None] * Q
 
 
-def _build_preconditioner(grid: CylGrid, dirichlet: DirichletEnergy):
-    """The metric K = As⊗Mt + Ms⊗At: the energy's p = 2 stiffness along
-    each axis, tensored with the other axis's diagonal cell-measure mass.
+def splu(grid: CylGrid, dirichlet: DirichletEnergy):
+    """The one factor of the descent's metric K = As⊗Mt + Ms⊗At: the
+    wall-ended energy's p = 2 stiffness along each axis, given by its
+    edge_weights, tensored with the other axis's cell-measure mass.  Returns
+    an object whose solve(R) solves K for an (ns, nt) array.
 
-    K is half the Hessian of the p = 2 energy, so it transforms like that
-    energy under dilation and fixes no length scale.  The wall edge makes
-    each 1-D stiffness positive definite, so K is symmetric positive
-    definite.  Returns a callable that solves K for an (ns, nt) array.  A
-    cylinder grid (m >= 1) gets the fast diagonalization method (Lynch, Rice
-    & Thomas 1964): each solve is four dense matmuls in the generalized
-    eigenbases of the two 1-D pencils.  On a radial grid (m = 0, where ns can
-    be thousands and K is As itself) the edge differences are bidiagonal, so
-    splu solves K by two cumulative sums.
-    """
-    As = dirichlet.stiffness(0)
+    K is half the Hessian of the p = 2 energy, so it fixes no length scale.
+    The wall edge makes K symmetric positive definite.  On a radial grid
+    (m = 0, where ns can be thousands and K is As) As = G^T diag(c) G with
+    G u = u[i + 1] - u[i], u = 0 past the wall, so solve is
+    revcumsum(cumsum(R) / c).  On a cylinder (m >= 1) it is the fast
+    diagonalization method (Lynch, Rice & Thomas 1964): four dense matmuls
+    in the generalized eigenbases of the two 1-D pencils.  The name is
+    kept for the benchmark's tracer, which wraps it to time the factor and
+    each solve."""
+    c = dirichlet.edge_weights(0)
     if grid.t_grid is None:
-        lu = splu(As)
-        return lambda R: lu.solve(R.ravel()).reshape(R.shape)
-    lam_s, Vs = _generalized_eigh(As, grid.s_grid.cell_measures)
-    lam_t, Vt = _generalized_eigh(dirichlet.stiffness(1), grid.t_measures)
+        c = c[:, None]
+        return SimpleNamespace(solve=lambda R: np.cumsum((np.cumsum(R, axis=0) / c)[::-1], axis=0)[::-1])
+    lam_s, Vs = _generalized_eigh(c, grid.s_grid.cell_measures)
+    lam_t, Vt = _generalized_eigh(dirichlet.edge_weights(1), grid.t_measures)
     denom = lam_s[:, None] + lam_t[None, :]
-    return lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T
+    return SimpleNamespace(solve=lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T)
 
 
 def _lbfgs_direction(g, Kg, pairs, gamma, solve):
@@ -194,7 +185,7 @@ def minimize_hs(
     The Dirichlet energy is a DirichletEnergy with the zero boundary at
     r_max built into the wall edges.  Every iterate lies on the constraint
     set C = 1.  At each one, g is the quotient's gradient there and K the
-    metric of _build_preconditioner.  The search direction is L-BFGS with
+    metric that splu factors.  The search direction is L-BFGS with
     memory LBFGS_MEMORY and initial inverse Hessian gamma K^-1, gamma = s.y
     / y.K^-1 y from the newest pair; a pair with s.y <= 0 is skipped, and a
     direction d that is not downhill is replaced by -K^-1 g.  The line
@@ -226,7 +217,7 @@ def minimize_hs(
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
     dirichlet = DirichletEnergy(grid, wall=True, p=p, delta=delta)
-    solve = _build_preconditioner(grid, dirichlet)
+    solve = splu(grid, dirichlet).solve
     trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
 
     def constraint(V):

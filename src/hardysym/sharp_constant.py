@@ -240,10 +240,17 @@ def _product_integrals(
 
 def dirichlet_eigenvalue_interval(width: float, n: int = 8192) -> float:
     """First eigenvalue of the 1D second-difference Dirichlet Laplacian on n
-    intervals of (0, width), in closed form: (2n / width)^2 sin^2(pi / 2n)."""
+    intervals of (0, width), in closed form: (2n / width)^2 sin^2(pi / 2n),
+    which must be a finite positive float."""
     if n < 2:
         raise ConfigurationError(f"need n >= 2 intervals (one interior node), got {n}")
-    return (2.0 * n / width) ** 2 * math.sin(math.pi / (2.0 * n)) ** 2
+    try:  # a width <= 0 or nan gives 0; an eigenvalue past the float range, 0 or inf
+        value = (2.0 * n / width) ** 2 * math.sin(math.pi / (2.0 * n)) ** 2 if width > 0 else 0.0
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"width must be positive with a finite positive eigenvalue at n = {n}, got {width!r}")
+    return value
 
 
 def split_infimum_demo(
@@ -263,15 +270,18 @@ def split_infimum_demo(
     p = 2 each rung comes from 1-D factors, with no 256 x 2048 array; at
     p != 2 its energy is summed over product_family's grid function
     (_product_integrals).  Returns per-lambda quotients plus the discrete
-    Omega-only infimum.
+    Omega-only infimum.  The oracle is the p = 2 eigenvalue: at p != 2 the
+    quotients tend to (pi / omega_width)^p, the cosine's own quotient, not
+    to the infimum over Omega.
     """
     if len(lambda_scales) == 0:
         raise ConfigurationError("lambda ladder must be non-empty")
     if min(lambda_scales) <= 0:
         raise ConfigurationError(f"lambda_scales must be positive, got {lambda_scales}")
-    if omega_width <= 0:
-        raise ConfigurationError("omega_width must be positive")
-    omega_infimum = dirichlet_eigenvalue_interval(omega_width, 512)
+    try:
+        omega_infimum = dirichlet_eigenvalue_interval(omega_width, 512)
+    except ConfigurationError as exc:  # its message starts with "width"
+        raise ConfigurationError(f"omega_{exc}") from None
     grid = CylGrid(
         make_radial_grid(1, omega_width / 2.0, 256, "uniform"),
         make_radial_grid(1, 1.05 * max(lambda_scales), 2048, "uniform"),

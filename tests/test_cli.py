@@ -130,6 +130,7 @@ def test_minimize_summary_and_trace_schema(tmp_path, capsys):
         ["eps-sweep", "--refine", "1"],
         ["split-demo", "--seed", "1"],
         ["split-demo", "--refine", "1"],
+        ["split-demo", "--p", "2.5"],  # the demo's oracle is the p = 2 eigenvalue
         ["product-sweep", "--seed", "1"],
         ["minimize", "--format", "csv"],
         ["properties", "--format", "csv"],
@@ -145,7 +146,7 @@ def test_unused_flag_rejected(tmp_path, capsys, args):
 
 @pytest.mark.parametrize(
     "command, key",
-    [("constant", "refine"), ("properties", "format"), ("minimize", "max_iters")],
+    [("constant", "refine"), ("properties", "format"), ("minimize", "max_iters"), ("split-demo", "p")],
 )
 def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
     cfg = tmp_path / "cfg.json"
@@ -178,6 +179,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
         ("split-demo", "lambda_scales", [-1]),
         ("product-sweep", "ladder", [[0.1, -1]]),
         ("product-sweep", "ladder", [[0.0, 100.0]]),
+        # widths whose oracle (2n / w)^2 sin^2(pi / 2n) is not a finite positive float
+        ("split-demo", "omega_width", -1.0),
+        ("split-demo", "omega_width", 0.0),
+        ("split-demo", "omega_width", 1e-160),
+        ("split-demo", "omega_width", 1e300),
+        ("split-demo", "omega_width", float("nan")),
     ],
 )
 def test_ill_typed_config_value_rejected(tmp_path, capsys, command, key, value):

@@ -395,8 +395,13 @@ def test_state_energy_and_gradient_are_bit_identical(name, p, delta):
             assert np.array_equal(dirichlet.gradient(values), expected)
 
 
-def tridiagonal(bands):
-    """The dense symmetric tridiagonal matrix with (diagonal, off_diagonal) `bands`."""
+def tridiagonal(c, n):
+    """The bands (diagonal, off_diagonal) of the n x n symmetric tridiagonal
+    stiffness with edge weights c: append(0, c)[:n] + append(c, 0)[:n] and -c[:n - 1]."""
+    return np.append(0.0, c)[:n] + np.append(c, 0.0)[:n], -c[: n - 1]
+
+
+def dense(bands):
     diagonal, off_diagonal = bands
     return np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
 
@@ -404,17 +409,20 @@ def tridiagonal(bands):
 @pytest.mark.parametrize("name", sorted(PARITY_GRIDS))
 @pytest.mark.parametrize("wall", [True, False])
 def test_stiffness_bands_equal_the_sparse_product(name, wall):
-    # the bands are D^T diag(k) D bit for bit, D the edge differences and k
-    # the cell measures spread to the edges, as a sparse product forms it
+    # the bands of the edge weights are D^T diag(k) D bit for bit, D the edge
+    # differences and k the cell measures spread to the edges, as a sparse
+    # product forms it from the test's own spacings
     grid = PARITY_GRIDS[name]()
     dirichlet = DirichletEnergy(grid, wall, 2.0)
     for axis, radial in enumerate([grid.s_grid] if grid.t_grid is None else [grid.s_grid, grid.t_grid]):
         n, inv_d = radial.n, inverse_spacings(radial, wall)
         D = sp.diags([-np.append(inv_d, 0.0)[:n], np.append(0.0, inv_d)[:n]], [-1, 0], shape=(n + 1, n))
         reference = D.T @ sp.diags(spread(radial.cell_measures, 0)) @ D
-        bands = diagonal, off_diagonal = dirichlet.stiffness(axis)
+        c = dirichlet.edge_weights(axis)
+        assert c.shape == inv_d.shape  # the interior edges, then the wall edge
+        bands = diagonal, off_diagonal = tridiagonal(c, n)
         if n <= 256:
-            assert np.array_equal(tridiagonal(bands), reference.toarray())
+            assert np.array_equal(dense(bands), reference.toarray())
         else:  # compared band by band: a dense copy of the blocks grid's s-axis is 76 MB
             assert np.array_equal(diagonal, reference.diagonal(0))
             assert np.array_equal(off_diagonal, reference.diagonal(1))
@@ -427,8 +435,8 @@ def test_wall_stiffness_is_positive_definite(name):
     # the Dirichlet wall edge alone makes each 1-D p = 2 stiffness SPD
     grid = PARITY_GRIDS[name]()
     dirichlet = DirichletEnergy(grid, True, 2.0)
-    for axis in range(1 if grid.t_grid is None else 2):
-        np.linalg.cholesky(tridiagonal(dirichlet.stiffness(axis)))
+    for axis, radial in enumerate([grid.s_grid] if grid.t_grid is None else [grid.s_grid, grid.t_grid]):
+        np.linalg.cholesky(dense(tridiagonal(dirichlet.edge_weights(axis), radial.n)))
 
 
 def test_dirichlet_single_cell_errors():

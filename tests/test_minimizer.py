@@ -25,7 +25,7 @@ from hardysym import (
     weighted_dirichlet,
 )
 from hardysym.grid import DirichletEnergy
-from hardysym.minimizer import _build_preconditioner, splu
+from hardysym.minimizer import splu
 
 HS_PARAMS = Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
 
@@ -260,6 +260,17 @@ def test_initializer_on_another_grid_rejected():
         minimize_hs(HS_PARAMS, hs_grid(16), init=default_init(hs_grid(8), "bump"))
 
 
+def wall_stiffness(radial):
+    """D^T diag(k) D as a sparse product from the grid's own node spacings:
+    D the edge differences with the wall edge to r_max, k the cell measures
+    spread to the edges."""
+    n, measures = radial.n, radial.cell_measures
+    inv_d = 1.0 / np.append(np.diff(radial.nodes), radial.r_max - radial.nodes[-1])
+    D = sp.diags([-inv_d, np.append(0.0, inv_d[:-1])], [-1, 0], shape=(n + 1, n))
+    k = 0.5 * (np.append(measures, 0.0) + np.append(0.0, measures))
+    return D.T @ sp.diags(k) @ D
+
+
 @pytest.mark.parametrize(
     "s_grid, t_grid",
     [
@@ -275,17 +286,12 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     g = CylGrid(s_grid, t_grid)
     ms, mt = s_grid.cell_measures, g.t_measures
     dirichlet = DirichletEnergy(g, True, 2.0)
-
-    def stiffness(axis):
-        diagonal, off_diagonal = dirichlet.stiffness(axis)
-        return sp.diags([off_diagonal, diagonal, off_diagonal], [-1, 0, 1])
-
-    P = sp.kron(stiffness(0), sp.diags(mt))
+    P = sp.kron(wall_stiffness(s_grid), sp.diags(mt))
     if t_grid is not None:
-        P = P + sp.kron(sp.diags(ms), stiffness(1))
+        P = P + sp.kron(sp.diags(ms), wall_stiffness(t_grid))
     R = np.random.default_rng(3).standard_normal(g.shape)
     expected = spsolve(P.tocsc(), R.ravel()).reshape(g.shape)
-    solve = _build_preconditioner(g, dirichlet)
+    solve = splu(g, dirichlet).solve
     assert np.max(np.abs(solve(R) - expected)) <= 1e-12 * np.max(np.abs(expected))
     # the matrix is half the p = 2 energy's Hessian
     grad = dirichlet.gradient(R)
@@ -305,18 +311,17 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     ids=["geometric-200", "geometric-500", "equimeasure-64", "uniform-4096", "one-cell"],
 )
 def test_radial_factor_matches_sparse_solve(radial):
-    # the two cumulative sums against a sparse direct solve of the same bands
+    # the two cumulative sums against a sparse direct solve of the same stiffness
     g = CylGrid(radial)
-    dirichlet = DirichletEnergy(g, True, 2.0)
-    diagonal, off_diagonal = dirichlet.stiffness(0)
-    K = sp.diags([off_diagonal, diagonal, off_diagonal], [-1, 0, 1], shape=(radial.n, radial.n), format="csc")
-    lu = splu((diagonal, off_diagonal))
+    K = wall_stiffness(radial).tocsc()
+    lu = splu(g, DirichletEnergy(g, True, 2.0))
     for b in np.random.default_rng(5).standard_normal((20, radial.n)):
-        x = lu.solve(b)
+        x = lu.solve(b[:, None])
+        assert x.shape == (radial.n, 1)
+        x = x[:, 0]
         expected = spsolve(K, b)
         assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
         assert np.max(np.abs(K @ x - b)) <= 1e-10 * np.max(np.abs(b))
-    assert _build_preconditioner(g, dirichlet)(np.ones(g.shape)).shape == (radial.n, 1)
 
 
 def test_symmetrize_and_compare_fixed_point():

@@ -152,6 +152,15 @@ def test_dirichlet_eigenvalue_is_the_tridiagonal_eigenvalue(n):
         dirichlet_eigenvalue_interval(1.0, 1)
 
 
+@pytest.mark.parametrize("width", [-1.0, 0.0, 1e-160, 1e300, math.nan])
+def test_interval_width_without_a_finite_positive_oracle_rejected(width):
+    # negative, zero, overflowing, underflowing and nan widths
+    with pytest.raises(ConfigurationError, match="width"):
+        dirichlet_eigenvalue_interval(width)
+    with pytest.raises(ConfigurationError, match="omega_width"):
+        split_infimum_demo(omega_width=width)
+
+
 def test_product_family_is_v_times_the_scaled_bump():
     grid = CylGrid(make_radial_grid(3, 2.0, 12, "uniform"), make_radial_grid(2, 5.0, 40, "uniform"))
     v = GridFunction(grid.s_grid, np.exp(-grid.s_nodes))

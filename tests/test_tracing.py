@@ -33,3 +33,28 @@ def test_line_search_constants_read_by_the_benchmark_exist():
     # the benchmark's per-round facts read these off DescentOptions
     assert DescentOptions.tau0 > 0
     assert isinstance(DescentOptions.max_halvings, int) and DescentOptions.max_halvings > 0
+
+
+def test_tracer_times_the_metric_factor_and_solves_on_a_cylinder(monkeypatch):
+    # the cylinder's fast diagonalization is built and solved through
+    # minimizer.splu, so the tracer's splu spans cover it: one factor per
+    # run and at least one solve per iteration
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    hardysym = importlib.import_module("hardysym")
+    params = hardysym.Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
+    grid = hardysym.CylGrid(
+        hardysym.make_radial_grid(2, 8.0, 16, "uniform"), hardysym.make_radial_grid(2, 8.0, 12, "uniform")
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traces = [hardysym.minimize_hs(params, grid, init, DescentOptions(max_iter=30)) for init in ("bump", "random")]
+    finally:
+        tracer.uninstall()
+    iterations = sum(len(trace.quotients) - 1 for trace in traces)
+    assert iterations > 0
+    assert tracer.calls["minimizer.minimize"] == 2
+    assert tracer.calls["minimizer.splu_factor"] == 2
+    assert tracer.calls["minimizer.splu_solve"] >= iterations
+    assert tracer.inside["minimizer.minimize", "minimizer.splu_solve"] > 0
