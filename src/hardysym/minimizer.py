@@ -32,6 +32,7 @@ DELTA_SCALE = 1e-8  # p-Laplacian regularization for p != 2, relative to grid di
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 LBFGS_MEMORY = 5  # (s, y) pairs kept by the L-BFGS two-loop recursion
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+FLOAT_EPS = np.finfo(float).eps  # a predicted decrease at most FLOAT_EPS * Q is rounding
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,17 @@ class DescentOptions:
     tol is the stationarity residual at which the run stops (stop_reason
     "residual"); tol = 0 never stops on it, so the run ends on a failed line
     search or at max_iter.  seed draws the "random" start.  The line
-    search's first step tau0 and its budget of halvings max_halvings are
-    class constants, not fields.
+    search's first step tau0 and its cap on halvings max_halvings are class
+    constants, not fields.  The cap is rarely reached: near the minimizer a
+    search ends at the float floor, where the predicted decrease
+    tau * (-g.d) falls to FLOAT_EPS * Q (see minimize_hs).
     """
 
     max_iter: int = 2000
     tol: float = 1e-8
     seed: int = 0
     tau0 = 1.0  # first step: a class constant, not a field
-    max_halvings = 40  # line-search budget: a class constant, not a field
+    max_halvings = 40  # cap on line-search halvings: a class constant, not a field
 
 
 @dataclass
@@ -143,32 +146,41 @@ def splu(grid: CylGrid, dirichlet: DirichletEnergy):
     G u = u[i + 1] - u[i], u = 0 past the wall, so solve is
     revcumsum(cumsum(R) / c).  On a cylinder (m >= 1) it is the fast
     diagonalization method (Lynch, Rice & Thomas 1964): four dense matmuls
-    in the generalized eigenbases of the two 1-D pencils.  The name is
-    kept for the benchmark's tracer, which wraps it to time the factor and
-    each solve."""
+    in the generalized eigenbases of the two 1-D pencils.  When the
+    t-axis pencil equals the s-axis one exactly (same edge weights and cell
+    measures, as on a square grid with one radius and grading), its
+    eigenpairs are reused and one eigh serves both axes.  The name is kept
+    for the benchmark's tracer, which wraps it to time the factor and each
+    solve."""
     c = dirichlet.edge_weights(0)
     if grid.t_grid is None:
         c = c[:, None]
         return SimpleNamespace(solve=lambda R: np.cumsum((np.cumsum(R, axis=0) / c)[::-1], axis=0)[::-1])
     lam_s, Vs = _generalized_eigh(c, grid.s_grid.cell_measures)
-    lam_t, Vt = _generalized_eigh(dirichlet.edge_weights(1), grid.t_measures)
+    c_t, m_t = dirichlet.edge_weights(1), grid.t_measures
+    if np.array_equal(c_t, c) and np.array_equal(m_t, grid.s_grid.cell_measures):
+        lam_t, Vt = lam_s, Vs  # one pencil along both axes: one eigh
+    else:
+        lam_t, Vt = _generalized_eigh(c_t, m_t)
     denom = lam_s[:, None] + lam_t[None, :]
     return SimpleNamespace(solve=lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T)
 
 
-def _lbfgs_direction(g, Kg, pairs, gamma, solve):
+def _lbfgs_direction(g, Kg, pairs, gamma):
     """-H g by the L-BFGS two-loop recursion (Nocedal 1980), with H0 =
-    gamma K^-1; Kg is K^-1 g, and pairs holds (s, y, 1 / s.y)."""
+    gamma K^-1; Kg is K^-1 g, and pairs holds (s, y, K^-1 y, 1 / s.y).
+    The recursion's middle solve K^-1 (g - sum alpha_i y_i) is Kg - sum
+    alpha_i K^-1 y_i by linearity, so a direction costs no K-solve."""
     if not pairs:
         return -gamma * Kg
-    r = g.copy()
+    q, r = g.copy(), Kg.copy()
     alphas = []
-    for s, y, rho in reversed(pairs):
-        alphas.append(rho * np.vdot(s, r))
-        r -= alphas[-1] * y
-    r = solve(r)
+    for s, y, Ky, rho in reversed(pairs):
+        alphas.append(rho * np.vdot(s, q))
+        q -= alphas[-1] * y
+        r -= alphas[-1] * Ky
     r *= gamma
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+    for (s, y, _, rho), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - rho * np.vdot(y, r)) * s
     r *= -1.0
     return r
@@ -188,16 +200,21 @@ def minimize_hs(
     metric that splu factors.  The search direction is L-BFGS with
     memory LBFGS_MEMORY and initial inverse Hessian gamma K^-1, gamma = s.y
     / y.K^-1 y from the newest pair; a pair with s.y <= 0 is skipped, and a
-    direction d that is not downhill is replaced by -K^-1 g.  The line
-    search tries tau = tau0, tau0 / 2, ... (at most max_halvings halvings):
-    each candidate U + tau d is clipped to be nonnegative, rescaled onto the
-    constraint set, and accepted only if it lowers the quotient by at least
-    ARMIJO * tau * (-g.d) and strictly, so the quotient trace decreases.
-    The stationarity residual sqrt(g.K^-1 g) / Q is recorded for every
+    direction d that is not downhill is replaced by -K^-1 g.  Each pair
+    keeps K^-1 y = K^-1 g_new - K^-1 g, so an iteration costs one K-solve,
+    K^-1 g at the new iterate.  The line search tries tau = tau0, tau0 / 2,
+    ... (at most max_halvings halvings): each candidate U + tau d is
+    clipped to be nonnegative, rescaled onto the constraint set, and
+    accepted only if it lowers the quotient by at least ARMIJO * tau *
+    (-g.d) and strictly, so the quotient trace decreases.  A candidate whose
+    predicted decrease tau * (-g.d) is at most FLOAT_EPS * Q is not
+    evaluated: the float floor, below which no decrease can show, ends the
+    search.  The stationarity residual sqrt(g.K^-1 g) / Q is recorded for every
     iterate; neither a rescaling nor a dilation of the iterate changes it.
     The run stops with stop_reason
       "residual" when it is at most opts.tol,
-      "step_rejected_at_stationarity" when no candidate is accepted,
+      "step_rejected_at_stationarity" when no candidate is accepted
+        (at the float floor or after max_halvings halvings),
       "max_iter" (converged = False) after opts.max_iter accepted steps.
     The constraint and its gradient share one cell weight W =
     grid.cell_weight(-beta), the weight of hs_constraint's sums.
@@ -257,13 +274,17 @@ def minimize_hs(
         if len(history) > opts.max_iter:
             trace.stop_reason = "max_iter"
             break
-        d = _lbfgs_direction(g, Kg, pairs, gamma, solve)
+        d = _lbfgs_direction(g, Kg, pairs, gamma)
         slope = -np.vdot(g, d)
         if not slope > 0:
             d, slope = -Kg, np.vdot(g, Kg)
 
-        tau = opts.tau0
+        tau, accepted = opts.tau0, False
         for _ in range(opts.max_halvings + 1):
+            # tau only shrinks, so once the predicted decrease is within
+            # rounding of the quotient no later candidate can show one
+            if tau * slope <= FLOAT_EPS * quotient:
+                break
             cand = U + tau * d
             np.maximum(cand, 0.0, out=cand)
             if (cand > 0).any():
@@ -272,9 +293,10 @@ def minimize_hs(
                 # strict even where ARMIJO * tau * slope underflows to 0:
                 # accepting an equal quotient can make zero-progress steps
                 if decrease >= ARMIJO * tau * slope and decrease > 0:
+                    accepted = True
                     break
             tau *= 0.5
-        else:
+        if not accepted:
             trace.stop_reason = "step_rejected_at_stationarity"
             break
         del d
@@ -284,8 +306,9 @@ def minimize_hs(
         y = g_new - g
         sy = np.vdot(s_step, y)
         if sy > 0:
-            gamma = sy / np.vdot(y, Kg_new - Kg)  # Kg_new - Kg is K^-1 y
-            pairs.append((s_step, y, 1.0 / sy))
+            Ky = Kg_new - Kg  # K^-1 y, by linearity
+            gamma = sy / np.vdot(y, Ky)
+            pairs.append((s_step, y, Ky, 1.0 / sy))
         U, c, energy, quotient, g, Kg = cand, c_new, e_new, q_new, g_new, Kg_new
         history.append((energy, c, quotient, tau, res))
 

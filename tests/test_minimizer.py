@@ -24,8 +24,9 @@ from hardysym import (
     symmetrize_and_compare,
     weighted_dirichlet,
 )
+from hardysym import minimizer
 from hardysym.grid import DirichletEnergy
-from hardysym.minimizer import splu
+from hardysym.minimizer import _generalized_eigh, _lbfgs_direction, splu
 
 HS_PARAMS = Params.hardy_sobolev(N=4, k=2, p=2, beta=1)
 
@@ -167,9 +168,8 @@ def test_residual_stop_at_p_3():
     assert tr.residuals[-1] <= DescentOptions().tol
 
 
-def test_zero_tol_never_stops_on_the_residual():
-    # a rejected step reports converged = True, so it must come at
-    # stationarity: these runs end there at residuals of 2.6e-10 to 1.3e-8
+def zero_tol_runs():
+    """Centred and off-centre starts on cylinders, and a radial grid."""
     runs = [(HS_PARAMS, hs_grid(24), "bump")]
     for n in (32, 64):
         g = hs_grid(n)
@@ -179,12 +179,58 @@ def test_zero_tol_never_stops_on_the_residual():
             runs.append((HS_PARAMS, g, GridFunction(g, np.exp(-((s - cs) ** 2 + (t - ct) ** 2) / width**2))))
     radial = CylGrid(make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2))
     runs.append((Params.hardy_sobolev(N=3, k=3, p=2, beta=1), radial, "bump"))
-    for params, grid, init in runs:
+    return runs
+
+
+def test_zero_tol_never_stops_on_the_residual():
+    # a rejected step reports converged = True, so it must come at
+    # stationarity: these runs end there at residuals of 1.5e-9 to 1.2e-8
+    for params, grid, init in zero_tol_runs():
         tr = minimize_hs(params, grid, init=init, opts=DescentOptions(max_iter=200, tol=0.0))
         assert tr.stop_reason in ("step_rejected_at_stationarity", "max_iter")
         assert tr.residuals[-1] > 0
         if tr.stop_reason == "step_rejected_at_stationarity":
             assert tr.converged and tr.residuals[-1] <= 1e-7
+
+
+def test_line_search_evaluates_no_candidate_below_the_float_floor(monkeypatch):
+    # every candidate whose energy is summed must predict a decrease
+    # tau * slope above eps * Q; a search ends, rejected, at the first tau
+    # that does not.  The direction and slope of each iteration are read
+    # off _lbfgs_direction's arguments, the candidates off energy's calls
+    eps = np.finfo(float).eps
+    searches, energy_calls = [], [0]
+    direction, energy = minimizer._lbfgs_direction, DirichletEnergy.energy
+
+    def recording_direction(g, Kg, pairs, gamma):
+        d = direction(g, Kg, pairs, gamma)
+        slope = -np.vdot(g, d)
+        searches.append((slope if slope > 0 else np.vdot(g, Kg), energy_calls[0]))
+        return d
+
+    def counting_energy(self, values):
+        energy_calls[0] += 1
+        return energy(self, values)
+
+    monkeypatch.setattr(minimizer, "_lbfgs_direction", recording_direction)
+    monkeypatch.setattr(DirichletEnergy, "energy", counting_energy)
+    tau0 = DescentOptions.tau0
+    for params, grid, init in zero_tol_runs():
+        searches.clear()
+        energy_calls[0] = 0
+        tr = minimize_hs(params, grid, init=init, opts=DescentOptions(max_iter=200, tol=0.0))
+        assert len(searches) == len(tr.quotients) - (tr.stop_reason == "max_iter")
+        ends = [start for _, start in searches[1:]] + [energy_calls[0]]
+        for i, ((slope, start), end) in enumerate(zip(searches, ends)):
+            evaluated = end - start
+            if i + 1 < len(tr.quotients):  # accepted at the last candidate
+                assert evaluated == round(np.log2(tau0 / tr.step_sizes[i + 1])) + 1
+            else:
+                assert tr.stop_reason == "step_rejected_at_stationarity"
+                # the next halving would have been at or below the floor
+                assert tau0 * 0.5**evaluated * slope <= eps * tr.quotients[i]
+            if evaluated:
+                assert tau0 * 0.5 ** (evaluated - 1) * slope > eps * tr.quotients[i]
 
 
 @pytest.mark.parametrize(
@@ -297,6 +343,64 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     grad = dirichlet.gradient(R)
     back = solve(0.5 * grad)
     assert np.max(np.abs(back - R)) <= 1e-12 * np.max(np.abs(R))
+
+
+def reference_two_loop(g, pairs, gamma, solve):
+    """The L-BFGS two-loop recursion with its middle K-solve, pairs (s, y)."""
+    r, alphas = g.copy(), []
+    for s, y in reversed(pairs):
+        alphas.append(np.vdot(s, r) / np.vdot(s, y))
+        r = r - alphas[-1] * y
+    r = gamma * solve(r)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        r = r + (alpha - np.vdot(y, r) / np.vdot(s, y)) * s
+    return -r
+
+
+def test_lbfgs_direction_matches_the_two_loop_with_a_middle_solve():
+    # the stored K^-1 y stand in for the middle solve by linearity
+    g = CylGrid(make_radial_grid(2, 8.0, 40, "uniform"), make_radial_grid(3, 6.0, 24, "uniform"))
+    dirichlet = DirichletEnergy(g, True, 2.0)
+    solve = splu(g, dirichlet).solve
+    rng = np.random.default_rng(11)
+    grad = rng.standard_normal(g.shape)
+    pairs = []
+    for _ in range(5):
+        s = rng.standard_normal(g.shape)
+        y = dirichlet.gradient(s) + 0.5 * rng.standard_normal(g.shape)
+        assert np.vdot(s, y) > 0
+        pairs.append((s, y))
+    s, y = pairs[-1]
+    gamma = np.vdot(s, y) / np.vdot(y, solve(y))
+    expected = reference_two_loop(grad, pairs, gamma, solve)
+    stored = [(s, y, solve(y), 1.0 / np.vdot(s, y)) for s, y in pairs]
+    d = _lbfgs_direction(grad, solve(grad), stored, gamma)
+    assert np.max(np.abs(d - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "t_grid, eighs",
+    [(make_radial_grid(2, 8.0, 48, "uniform"), 1), (make_radial_grid(3, 8.0, 48, "uniform"), 2)],
+    ids=["equal-pencils", "same-size-other-pencil"],
+)
+def test_equal_pencils_are_factored_once(monkeypatch, t_grid, eighs):
+    # ns = nt on both grids; only equal edge weights and measures share
+    g = CylGrid(make_radial_grid(2, 8.0, 48, "uniform"), t_grid)
+    dirichlet = DirichletEnergy(g, True, 2.0)
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    solve = splu(g, dirichlet).solve
+    assert len(calls) == eighs
+    monkeypatch.undo()
+    # sharing is bit for bit what a second eigh gives
+    shared = _generalized_eigh(dirichlet.edge_weights(0), g.s_grid.cell_measures)
+    separate = _generalized_eigh(dirichlet.edge_weights(1), g.t_measures)
+    assert all(np.array_equal(a, b) for a, b in zip(shared, separate)) == (eighs == 1)
+    P = sp.kron(wall_stiffness(g.s_grid), sp.diags(g.t_measures))
+    P = P + sp.kron(sp.diags(g.s_grid.cell_measures), wall_stiffness(t_grid))
+    R = np.random.default_rng(4).standard_normal(g.shape)
+    expected = spsolve(P.tocsc(), R.ravel()).reshape(g.shape)
+    assert np.max(np.abs(solve(R) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize(

@@ -211,7 +211,11 @@ def test_radial_grid_function_supported():
 
 def per_slice_reference(values, measures):
     """Weighted rearrangement of one slice, written independently: the
-    stable descending sort sampled at each cell's cumulative-measure start."""
+    stable descending sort sampled at each cell's cumulative-measure start,
+    or the sort itself when every measure is within 1e-9 relative of the
+    first, the rule by which the passes treat measures as equal."""
+    if all(abs(m - measures[0]) <= 1e-9 * measures[0] for m in measures):
+        return -np.sort(-values, kind="stable")
     order = np.argsort(-values, kind="stable")
     sorted_cum = np.cumsum(measures[order])
     starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
@@ -307,6 +311,21 @@ def test_schwarz_passes_match_per_slice_reference(ns, nt, data):
     assert layout(star_y.values) == layout_after(s_weighted, 0, u.values)
     assert layout(star_z.values) == layout_after(t_weighted, 1, u.values)
     assert layout(star.values) == layout_after(t_weighted, 1, star_y.values)
+
+
+def test_nearly_equal_measures_are_sorted():
+    # measures within 1e-9 relative count as equal, and a plain sort is
+    # the rearrangement: sampling at the cell starts would give [1/3, 1/3, 0]
+    # here, because the largest value's measure 10**1e-12 exceeds the
+    # second cell's start 1
+    ms = np.array([1.0, 1.0, 10**1e-12])
+    g = CylGrid(grid_with_measures(ms), grid_with_measures([1.0]))
+    u = GridFunction(g, np.array([[0.0], [0.0], [1 / 3]]))
+    expect = per_slice_reference(u.values[:, 0], ms)
+    assert expect.tolist() == [1 / 3, 0.0, 0.0]
+    assert np.array_equal(schwarz_y(u).values[:, 0], expect)
+    assert np.array_equal(double_star(u).values[:, 0], expect)
+    assert np.array_equal(decreasing_rearrangement_1d(u.values[:, 0], ms), expect)
 
 
 def test_weighted_pass_clamps_to_the_last_sorted_value():
