@@ -106,24 +106,24 @@ def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
     return sum_over_row_blocks(values.shape, block_norm)
 
 
-def weighted_dirichlet(u: GridFunction, p: float, a: float, wall: bool = False) -> float:
-    """integral of |grad u|^p |y|^a: the energy of DirichletEnergy.
-
-    The outer end of each radius is natural by default; `wall=True` adds the
-    Dirichlet wall edge that joins the last cell to zero at r_max.
-    """
+def weighted_dirichlet(u: GridFunction, p: float, a: float) -> float:
+    """integral of |grad u|^p |y|^a on the ball of radius r_max with u = 0 on
+    its boundary: the energy of DirichletEnergy with the wall edge that joins
+    the last cell of each radius to zero at r_max."""
     if p <= 0:
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
-    return DirichletEnergy(grid, wall, p, a).energy(values)
+    return DirichletEnergy(grid, True, p, a).energy(values)
 
 
 def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:
-    """Rayleigh quotient int |grad u|^p |y|^(a+p) / int |u|^p |y|^a."""
+    """Rayleigh quotient int |grad u|^p |y|^(a+p) / int |u|^p |y|^a over the
+    grid, with the natural end: its test functions have power tails past r_max."""
     if params.alpha is None:
         raise UsageError("hardy_quotient requires Hardy-mode params (alpha set)")
-    params.check_grid(as_2d(u)[1])
-    num = weighted_dirichlet(u, params.p, params.alpha + params.p)
+    values, grid = as_2d(u)
+    params.check_grid(grid)
+    num = DirichletEnergy(grid, False, params.p, params.alpha + params.p).energy(values)
     den = weighted_p_norm(u, params.p, params.alpha)
     if den <= 0:
         raise DegenerateInputError("hardy_quotient: zero denominator")
@@ -139,7 +139,8 @@ def hs_constraint(u: GridFunction, params: Params) -> float:
 
 
 def hs_quotient(u: GridFunction, params: Params) -> QuotientReport:
-    """Scale-invariant quotient int |grad u|^p / (int |u|^q / |y|^beta)^(p/q)."""
+    """Scale-invariant quotient int |grad u|^p / (int |u|^q / |y|^beta)^(p/q),
+    with weighted_dirichlet's wall-ended energy, the one minimize_hs minimizes."""
     c = hs_constraint(u, params)
     if c <= 0:
         raise DegenerateInputError("hs_quotient: zero constraint integral")

@@ -392,7 +392,7 @@ class DirichletEnergy:
     neighbouring cells, and an outer edge at r_max.  The origin edge carries
     zero gradient (radial symmetry).  With `wall` the outer edge joins the
     last cell to the Dirichlet zero boundary; without it the outer edge
-    carries zero gradient (natural end).  Squared edge gradients averaged
+    carries zero gradient (natural end), which only hardy_quotient asks for.  Squared edge gradients averaged
     onto the two edges of each cell give |grad u|^2 per cell.  Unlike
     centred differences, this scheme has no oscillatory null mode.
 

@@ -323,13 +323,12 @@ def minimize_hs(
 def symmetrize_and_compare(u: GridFunction, params: Params) -> dict:
     """Apply the double symmetrization and report quotients before and after.
 
-    Both functions are renormalized to constraint value 1; the quotient is
-    scale-invariant so the comparison is unaffected.  On equal-measure grids
-    the passes are exact sorts and the quotient does not rise.  On grids
-    with unequal cell measures the start-sampled passes are not
-    measure-preserving and can raise it by far more than rounding: on two
-    geometric n = 128 radii with an origin cell of 1/128, a three-bump input
-    goes from 6.635 to 9.060.
+    Neither function is renormalized: the quotient is scale-invariant.  On
+    equal-measure grids the passes are exact sorts and the quotient does not
+    rise.  On grids with unequal cell measures the start-sampled passes are
+    not measure-preserving and can raise it by far more than rounding: on
+    two geometric n = 128 radii with an origin cell of 1/128, a three-bump
+    input goes from 6.635 to 9.060.
     """
     c_before = hs_constraint(u, params)
     if c_before <= 0:
@@ -363,8 +362,9 @@ def hardy_endpoint_sweep(
     plateau family needs exponentially many e-folds in eps, so the y-grid is
     geometric, with an origin cell of width 1e-3, out to r_max =
     exp(log_r_max), and the spreading scales are proportional to r_max.  The
-    z-profile is product_family's bump.  A ConfigurationError names
-    n_s or n_t below 2, an n_t too coarse to sample the narrowest bump, a
+    z-profile is product_family's bump, and the energy hs_quotient's, with
+    the wall at r_max on both radii.  A ConfigurationError names
+    an n_s below 2, an n_t below 1 or too coarse to sample the narrowest bump, a
     log_r_max <= 0 (the plateau family needs r_max > 1), and a log_r_max or
     a ladder whose grid volume, of order
     r_max^k (1.05 lambda_max)^m, overflows float64.
@@ -381,9 +381,10 @@ def hardy_endpoint_sweep(
     k, m, p = params.k, params.m, params.p
     if m < 1:
         raise DomainError("endpoint sweep needs m = N - k >= 1")
-    for key, n in (("n_s", n_s), ("n_t", n_t)):
-        if n < 2:
-            raise ConfigurationError(f"{key} must be >= 2 (the quotient's energy needs 2 cells per radius), got {n}")
+    if n_s < 2:
+        raise ConfigurationError(f"n_s must be >= 2 (one origin cell of width 1e-3 cannot reach r_max > 1), got {n_s}")
+    if n_t < 1:
+        raise ConfigurationError(f"n_t must be >= 1, got {n_t}")
     if not log_r_max > 0:
         raise ConfigurationError(f"log_r_max must be > 0 (the plateau family needs r_max > 1), got {log_r_max}")
     # the measure sums reach the volume of the R x 1.05 lambda_max cylinder,
@@ -431,7 +432,7 @@ def hardy_endpoint_sweep(
     for eps, lam in ladder:
         v = eps_family_truncated(eps, p, -p, s_grid)
         if p == 2.0:
-            numerator, constraint = _product_integrals(v, lam, grid, p, params.q, -params.beta)
+            numerator, constraint = _product_integrals(v, lam, grid, -params.beta)
             denominator = constraint ** (p / params.q)
             quotient = numerator / denominator
         else:

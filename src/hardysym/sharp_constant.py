@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .functionals import Params, weighted_dirichlet, weighted_p_norm
+from .functionals import Params, hardy_quotient, weighted_dirichlet, weighted_p_norm
 from .grid import CylGrid, GridFunction, RadialGrid, make_radial_grid, sphere_area
 
 __all__ = [
@@ -129,9 +129,9 @@ def eps_sweep(
 ) -> list:
     """Evaluate the Hardy quotient of the plateau family across an eps ladder.
 
-    Returns one row per eps with quadrature on a split grid of 4096 cells
-    out to r = 1000, analytic tail corrections beyond it, and the
-    closed-form value for comparison.
+    Returns one row per eps with hardy_quotient's numerator and denominator
+    on a split grid of 4096 cells out to r = 1000, analytic tail corrections
+    beyond it, and the closed-form value for comparison.
     """
     if len(eps_values) == 0:
         raise ConfigurationError("eps ladder must be non-empty")
@@ -141,8 +141,8 @@ def eps_sweep(
     for eps in sorted(eps_values, reverse=True):
         u = eps_family(eps, params, grid)
         g = _decay_exponent(p, alpha, params.N, eps)
-        num = weighted_dirichlet(u, p, alpha + p)
-        den = weighted_p_norm(u, p, alpha)
+        rep = hardy_quotient(u, params)
+        num, den = rep.numerator, rep.denominator
         tail_num = tail_correction(PowerTail(g, -g - 1.0), grid, p, alpha + p)
         tail_den = tail_correction(PowerTail(1.0, -g), grid, p, alpha)
         quotient = (num + tail_num) / (den + tail_den)
@@ -208,34 +208,25 @@ def product_family(v: GridFunction, lambda_scale: float, grid: CylGrid) -> GridF
 
     Spreading w (lambda_scale -> infinity) makes the z-contribution to the
     Dirichlet energy vanish relative to its mass, which is how the cylindrical
-    sharp constant is approached from above.  hardy_endpoint_sweep and
-    split_infimum_demo build it only at p != 2; at p = 2 their quotients come
-    from 1-D factors (_product_integrals).
+    sharp constant is approached from above.  hardy_endpoint_sweep builds it
+    only at p != 2; at p = 2 its quotients, and all of split_infimum_demo's,
+    come from 1-D factors (_product_integrals).
     """
     return GridFunction(grid, np.outer(v.values, _bump(v, lambda_scale, grid)))
 
 
-def _product_integrals(
-    v: GridFunction, lambda_scale: float, grid: CylGrid, p: float, q: float, a: float, wall: bool = False
-) -> tuple:
-    """(weighted_dirichlet(u, p, 0.0, wall), weighted_p_norm(u, q, a)) of
-    u = product_family(v, lambda_scale, grid), equal up to rounding.
-
-    The norm is the product of the 1-D norms of v and w.  At p = 2 the
-    discrete energy splits exactly, E(v w) = E_s(v) M_t(w) + M_s(v) E_t(w),
-    into 1-D energies E and squared norms M on the cylinder's two radii, so
-    no (n_s, n_t) array is formed.  At p != 2 the energy does not separate
-    and is summed over product_family's grid function.
+def _product_integrals(v: GridFunction, lambda_scale: float, grid: CylGrid, a: float) -> tuple:
+    """(weighted_dirichlet(u, 2, 0), weighted_p_norm(u, 2, a)) of
+    u = product_family(v, lambda_scale, grid), equal up to rounding, with no
+    (n_s, n_t) array: the norm is the product of the 1-D norms of v and w,
+    and the p = 2 energy splits exactly, E(v w) = E_s(v) M_t(w) +
+    M_s(v) E_t(w), into 1-D energies E and squared norms M on the two radii.
     """
     w = GridFunction(grid.t_grid, _bump(v, lambda_scale, grid))
     v = GridFunction(grid.s_grid, v.values)  # the cylinder's own s-radius
-    norm = weighted_p_norm(v, q, a) * weighted_p_norm(w, q, 0.0)
-    if p == 2.0:
-        m_v, m_w = weighted_p_norm(v, 2.0, 0.0), weighted_p_norm(w, 2.0, 0.0)
-        energy = weighted_dirichlet(v, 2.0, 0.0, wall) * m_w + m_v * weighted_dirichlet(w, 2.0, 0.0, wall)
-    else:
-        energy = weighted_dirichlet(product_family(v, lambda_scale, grid), p, 0.0, wall=wall)
-    return energy, norm
+    m_v, m_w = weighted_p_norm(v, 2.0, 0.0), weighted_p_norm(w, 2.0, 0.0)
+    energy = weighted_dirichlet(v, 2.0, 0.0) * m_w + m_v * weighted_dirichlet(w, 2.0, 0.0)
+    return energy, weighted_p_norm(v, 2.0, a) * m_w
 
 
 def dirichlet_eigenvalue_interval(width: float, n: int = 8192) -> float:
@@ -254,42 +245,45 @@ def dirichlet_eigenvalue_interval(width: float, n: int = 8192) -> float:
 
 
 def split_infimum_demo(
-    p: float = 2.0,
     omega_width: float = 1.0,
     lambda_scales: Sequence[float] = (1.0, 4.0, 16.0, 64.0),
 ) -> dict:
-    """Product-domain splitting: the quotient of v(x1) * w(x2 / lambda) on
-    Omega x R approaches the Omega-only infimum as lambda grows.
+    """Product-domain splitting: the p = 2 quotient of v(x1) * w(x2 / lambda)
+    on Omega x R approaches the Omega-only infimum as lambda grows.
 
     Omega = (0, omega_width) is folded about its midpoint onto a d = 1 radial
     grid of 256 cells on [0, omega_width / 2], so the cells have the spacing
-    of the 512-interval oracle `dirichlet_eigenvalue_interval`; the x2-grid
-    has 2048 cells out to 1.05 max(lambda).  v(r) = cos(pi r / omega_width)
-    is the first Dirichlet eigenfunction and w product_family's bump; the
-    energy has the Dirichlet wall edge at the outer end of both radii.  At
-    p = 2 each rung comes from 1-D factors, with no 256 x 2048 array; at
-    p != 2 its energy is summed over product_family's grid function
-    (_product_integrals).  Returns per-lambda quotients plus the discrete
-    Omega-only infimum.  The oracle is the p = 2 eigenvalue: at p != 2 the
-    quotients tend to (pi / omega_width)^p, the cosine's own quotient, not
-    to the infimum over Omega.
+    of the 512-interval oracle `dirichlet_eigenvalue_interval`.  The ladder
+    is relative to Omega, lambda = lambda_scale * omega_width, and the
+    x2-grid has 2048 cells out to 1.05 max(lambda), so the demo scales with
+    omega_width and each rung's gap to the oracle does not depend on it.
+    v(r) = cos(pi r / omega_width) is the first Dirichlet eigenfunction and w
+    product_family's bump.  Each rung comes from 1-D factors
+    (_product_integrals), with the wall at both outer ends.  Returns
+    per-lambda quotients plus the discrete Omega-only infimum.
     """
     if len(lambda_scales) == 0:
         raise ConfigurationError("lambda ladder must be non-empty")
     if min(lambda_scales) <= 0:
         raise ConfigurationError(f"lambda_scales must be positive, got {lambda_scales}")
+    # the first x2-cell centre, 1.05 max(lambda) / 4096, must lie inside the narrowest bump
+    if not max(lambda_scales) < 3900.0 * min(lambda_scales):
+        raise ConfigurationError(f"lambda_scales must span a ratio below 3900, got {lambda_scales}")
     try:
         omega_infimum = dirichlet_eigenvalue_interval(omega_width, 512)
     except ConfigurationError as exc:  # its message starts with "width"
         raise ConfigurationError(f"omega_{exc}") from None
+    lambdas = sorted(scale * omega_width for scale in lambda_scales)
+    if not 1.05 * lambdas[-1] < math.inf:
+        raise ConfigurationError(f"lambda_scales times omega_width must stay in the float range, got {lambdas[-1]:g}")
     grid = CylGrid(
         make_radial_grid(1, omega_width / 2.0, 256, "uniform"),
-        make_radial_grid(1, 1.05 * max(lambda_scales), 2048, "uniform"),
+        make_radial_grid(1, 1.05 * lambdas[-1], 2048, "uniform"),
     )
     v = GridFunction(grid.s_grid, np.cos(math.pi * grid.s_nodes / omega_width))
     rows = []
-    for lam in sorted(lambda_scales):
-        num, den = _product_integrals(v, lam, grid, p, p, 0.0, wall=True)
+    for lam in lambdas:
+        num, den = _product_integrals(v, lam, grid, 0.0)
         rows.append(
             {
                 "lambda": lam,

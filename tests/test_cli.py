@@ -185,6 +185,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
         ("split-demo", "omega_width", 1e-160),
         ("split-demo", "omega_width", 1e300),
         ("split-demo", "omega_width", float("nan")),
+        # a ladder so wide that the x2-grid's first cell misses the narrowest bump
+        ("split-demo", "lambda_scales", [1.0, 1e6]),
     ],
 )
 def test_ill_typed_config_value_rejected(tmp_path, capsys, command, key, value):

@@ -169,10 +169,16 @@ def test_cell_weight_sums_to_the_weighted_volume(a):
     assert float(grid.cell_weight(a).sum()) == pytest.approx(exact, rel=1e-13)
 
 
+def natural_energy(u, p, a):
+    """The natural-end energy of u, the one hardy_quotient takes."""
+    values, grid = as_2d(u)
+    return DirichletEnergy(grid, False, p, a).energy(values)
+
+
 def test_dirichlet_constant_is_zero():
     g = make_radial_grid(3, 1.0, 16, "uniform")
-    assert weighted_dirichlet(GridFunction(g, np.ones(16)), 2.0, 0.0) == 0.0
-    assert weighted_dirichlet(GridFunction(g, np.ones(16)), 2.0, 0.0, wall=True) > 0.0
+    assert natural_energy(GridFunction(g, np.ones(16)), 2.0, 0.0) == 0.0
+    assert weighted_dirichlet(GridFunction(g, np.ones(16)), 2.0, 0.0) > 0.0
 
 
 def test_dirichlet_linear_profile_edge_sum():
@@ -185,7 +191,7 @@ def test_dirichlet_linear_profile_edge_sum():
         u = GridFunction(g, g.nodes)
         for p in (2.0, 3.0):
             exact = float(np.sum(half ** (p / 2) * g.cell_measures))
-            assert weighted_dirichlet(u, p, 0.0) == pytest.approx(exact, rel=1e-12)
+            assert natural_energy(u, p, 0.0) == pytest.approx(exact, rel=1e-12)
 
 
 def test_dirichlet_quadratic_converges():
@@ -194,7 +200,7 @@ def test_dirichlet_quadratic_converges():
     for n in (50, 100, 200, 400):
         g = make_radial_grid(1, 1.0, n, "uniform")
         u = GridFunction(g, 1.0 - g.nodes**2)
-        errors.append(abs(weighted_dirichlet(u, 2.0, 0.0, wall=True) - 8.0 / 3.0))
+        errors.append(abs(weighted_dirichlet(u, 2.0, 0.0) - 8.0 / 3.0))
     assert errors[-1] < 1e-4
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
@@ -213,7 +219,7 @@ def test_dirichlet_cylindrical_linear_profile():
     wt = np.ones((1, 25))
     wt[:, [0, -1]] = 0.5
     exact = float(np.sum((ws + 4 * wt) * g.cell_measures))
-    assert weighted_dirichlet(u, 2.0, 0.0) == pytest.approx(exact, rel=1e-12)
+    assert natural_energy(u, 2.0, 0.0) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -442,10 +448,10 @@ def test_wall_stiffness_is_positive_definite(name):
 def test_dirichlet_single_cell_errors():
     g = make_radial_grid(3, 1.0, 1, "uniform")
     with pytest.raises(UsageError):
-        weighted_dirichlet(GridFunction(g, np.ones(1)), 2.0, 0.0)
+        natural_energy(GridFunction(g, np.ones(1)), 2.0, 0.0)
     cyl = CylGrid(make_radial_grid(2, 1.0, 4, "uniform"), make_radial_grid(2, 1.0, 1, "uniform"))
     with pytest.raises(UsageError):
-        weighted_dirichlet(GridFunction(cyl, np.ones((4, 1))), 2.0, 0.0)
+        natural_energy(GridFunction(cyl, np.ones((4, 1))), 2.0, 0.0)
 
 
 def test_degenerate_t_grid():
@@ -456,9 +462,9 @@ def test_degenerate_t_grid():
     assert g.shape == (10, 1)
     assert g.t_measures.tolist() == [1.0]
     values = np.exp(-sg.nodes)
-    for wall in (False, True):
-        cyl = weighted_dirichlet(GridFunction(g, values[:, None]), 2.0, 1.0, wall=wall)
-        radial = weighted_dirichlet(GridFunction(sg, values), 2.0, 1.0, wall=wall)
+    for energy in (natural_energy, weighted_dirichlet):
+        cyl = energy(GridFunction(g, values[:, None]), 2.0, 1.0)
+        radial = energy(GridFunction(sg, values), 2.0, 1.0)
         assert cyl == radial
 
 

@@ -5,9 +5,11 @@ and an import kept only for it would time nothing.  Every private
 module-level function or method is referenced somewhere in the package, so
 dead helpers are deleted rather than kept beside their replacements.  And
 only `grid` forms the |y|^a cell weight: no other module calls
-`weight_average`.  A last guard keeps scipy out of `import hardysym`, of
-every default subcommand and of a radial (k = N) minimization: scipy is a
-test dependency only."""
+`weight_average`.  Only `functionals.hardy_quotient`, whose test functions
+have power tails past r_max, builds a `DirichletEnergy` with the natural
+outer end: every other energy has the Dirichlet wall.  A last guard keeps
+scipy out of `import hardysym`, of every default subcommand and of a radial
+(k = N) minimization: scipy is a test dependency only."""
 
 import ast
 import json
@@ -94,6 +96,45 @@ def test_guard_finds_a_weight_average_call():
 )
 def test_only_grid_forms_the_cell_weight(path):
     assert weight_average_calls(path.read_text()) == 0
+
+
+def natural_end_calls(source: str) -> list:
+    """The enclosing function ("Class.method" for a method) of each
+    `DirichletEnergy(...)` call in `source` whose wall argument, the second
+    positional or `wall=`, is not the literal True."""
+    calls = []
+
+    def walled(call):
+        wall = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "wall"), None)
+        return isinstance(wall, ast.Constant) and wall.value is True
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "DirichletEnergy" and not walled(child):
+                    calls.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return calls
+
+
+def test_guard_finds_a_natural_end_call():
+    source = (
+        "def f(g):\n    return DirichletEnergy(g, False, 2.0)\n\n\n"
+        "class A:\n    def m(self, g, wall):\n        DirichletEnergy(g, wall=True, p=2.0)\n"
+        "        return grid.DirichletEnergy(g, wall, 2.0)\n"
+    )
+    assert natural_end_calls(source) == ["f", "A.m"]
+
+
+def test_only_hardy_quotient_takes_the_natural_end():
+    calls = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py")) for scope in natural_end_calls(path.read_text())]
+    assert calls == ["functionals.hardy_quotient"]
 
 
 SCIPY_GUARD = """

@@ -85,24 +85,22 @@ def split_demo_grid():
     return grid, GridFunction(grid.s_grid, np.cos(math.pi * grid.s_nodes))
 
 
-@pytest.mark.parametrize("wall", [True, False])
-def test_product_integrals_at_p_2_match_the_2d_product_on_the_split_demo_rungs(wall):
+def test_product_integrals_at_p_2_match_the_2d_product_on_the_split_demo_rungs():
     grid, v = split_demo_grid()
     for lam in (1.0, 4.0, 16.0, 64.0):
         u = product_family(v, lam, grid)
-        energy, norm = _product_integrals(v, lam, grid, 2.0, 2.0, 0.0, wall)
-        energy_2d, norm_2d = weighted_dirichlet(u, 2.0, 0.0, wall=wall), weighted_p_norm(u, 2.0, 0.0)
+        energy, norm = _product_integrals(v, lam, grid, 0.0)
+        energy_2d, norm_2d = weighted_dirichlet(u, 2.0, 0.0), weighted_p_norm(u, 2.0, 0.0)
         assert_rel(energy, energy_2d)
         assert_rel(norm, norm_2d)
         assert_rel(energy / norm, energy_2d / norm_2d)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_split_infimum_demo_matches_the_2d_product(p):
+def test_split_infimum_demo_matches_the_2d_product():
     grid, v = split_demo_grid()
-    for row in split_infimum_demo(p=p)["rows"]:
+    for row in split_infimum_demo()["rows"]:
         u = product_family(v, row["lambda"], grid)
-        num, den = weighted_dirichlet(u, p, 0.0, wall=True), weighted_p_norm(u, p, 0.0)
+        num, den = weighted_dirichlet(u, 2.0, 0.0), weighted_p_norm(u, 2.0, 0.0)
         assert_rel(row["numerator"], num)
         assert_rel(row["denominator"], den)
         assert_rel(row["quotient"], num / den)
@@ -125,4 +123,41 @@ def test_bump_energy_ratio_converges_at_second_order():
     ok = all(1.9 <= order <= 2.1 for ladder in orders.values() for order in ladder)
     detail = "; ".join(f"lambda = R/{1 / x:g}: " + ", ".join(f"{o:.3f}" for o in ladder) for x, ladder in orders.items())
     print(f"{'PASS' if ok else 'FAIL'} bump energy ratio vs 3/lambda^2, observed order log2(e_h/e_h/2) in [1.9, 2.1]: {detail}")
+    assert ok, detail
+
+
+def power_integral(e, log_r_max):
+    """integral of r^e dr over [1, R], R = exp(log_r_max), by expm1: the
+    endpoint exponents e = -2g sit just below -1."""
+    if e == -1.0:
+        return log_r_max
+    return math.expm1((e + 1.0) * log_r_max) / (e + 1.0)
+
+
+def closed_form_rung(eps, lam, log_r_max=100.0):
+    """Continuum quotient of the default product sweep's rung (k = 3, m = 1,
+    beta = p = 2): v = min(1, r^-g) - R^-g with g = 1/2 + eps in y, the bump
+    at scale lam in z.  Q = E_s / M_{s,-2} + (M_s / M_{s,-2}) 3 / lam^2, the
+    s-integrals taken over [0, R] without the common sphere area."""
+    g = 0.5 + eps
+    c = math.exp(-g * log_r_max)  # R^-g, where v vanishes
+
+    def moment(a):
+        """integral of v^2 r^(a + 2) over [0, R]: the plateau, then the tail."""
+        plateau = (1.0 - c) ** 2 / (a + 3.0)
+        tail = sum(coef * power_integral(e + a + 2.0, log_r_max) for coef, e in ((1.0, -2 * g), (-2 * c, -g), (c * c, 0.0)))
+        return plateau + tail
+
+    energy = g * g * power_integral(-2 * g, log_r_max)
+    return energy / moment(-2.0) + moment(0.0) / moment(-2.0) * 3.0 / lam**2
+
+
+@pytest.mark.parametrize("n_s, n_t, gate", [(4096, 512, 1e-3), (16384, 2048, 2e-4)])
+def test_endpoint_sweep_rungs_match_their_closed_forms(n_s, n_t, gate):
+    params = Params.hardy_sobolev(N=4, k=3, p=2, beta=2)
+    rows = hardy_endpoint_sweep(params, n_s=n_s, n_t=n_t)
+    gaps = [row["quotient"] / closed_form_rung(row["eps"], row["lambda"]) - 1.0 for row in rows]
+    ok = all(abs(gap) <= gate for gap in gaps)
+    detail = ", ".join(f"eps = {row['eps']:g}: {gap:+.2e}" for row, gap in zip(rows, gaps))
+    print(f"{'PASS' if ok else 'FAIL'} product-sweep rungs vs closed form at n_s = {n_s}, n_t = {n_t}, |gap| <= {gate:g}: {detail}")
     assert ok, detail

@@ -198,3 +198,20 @@ def test_split_infimum_demo_converges():
     assert abs(quotients[-1] - oracle) / oracle < 0.02
     with pytest.raises(ConfigurationError):
         split_infimum_demo(lambda_scales=())
+
+
+def test_split_infimum_demo_ladder_is_relative_to_omega():
+    # lambda = lambda_scale * omega_width, so the whole demo scales with
+    # omega and the last rung's gap to the oracle does not depend on it
+    def gap(width):
+        result = split_infimum_demo(omega_width=width)
+        assert [row["lambda"] for row in result["rows"]] == [s * width for s in (1.0, 4.0, 16.0, 64.0)]
+        return result["rows"][-1]["quotient"] / result["omega_infimum"] - 1.0
+
+    reference = gap(1.0)
+    gaps = {width: gap(width) for width in (0.1, 10.0, 100.0, 1000.0)}
+    print(f"split-demo rel_gap {reference:.6e} at omega = 1; at other omega: {gaps}")
+    assert 7e-5 < reference < 8e-5
+    assert all(abs(value - reference) <= 1e-12 for value in gaps.values()), gaps
+    with pytest.raises(ConfigurationError, match="lambda_scales times omega_width"):
+        split_infimum_demo(omega_width=1e10, lambda_scales=(1e300,))
