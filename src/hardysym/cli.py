@@ -14,11 +14,16 @@ message names the violated clause), unknown flags, unknown config keys,
 ill-typed config values, a negative count (refine, seed, trials,
 max_iter) or a grid size out of range (n, n_s, n_t, log_r_max), 3 when
 `properties` finds a violation, 1 on I/O errors.
+
+`main` may be called any number of times in one process (the tests, the
+benchmark and notebooks do): the parser depends only on DEFAULTS and the
+handlers' docstrings, so it is built once, on the first call, and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -169,6 +174,8 @@ def cmd_eps_sweep(cfg: dict) -> int:
     denominator, quotient, closed_form, rel_err, tail_correction_num,
     tail_correction_den."""
     params = Params.hardy(N=cfg["N"], k=cfg["N"], p=cfg["p"], alpha=cfg["alpha"])
+    # before the sweep, so that an infinite p or alpha is rejected before any artifact is written
+    limit = hardy_constant(params.p, params.alpha, params.k) ** -1  # quotient limit
     ladder = cfg.get("eps_ladder")
     rows = eps_sweep(params) if ladder is None else eps_sweep(params, eps_values=ladder)
     out = _out_dir(cfg)
@@ -183,7 +190,6 @@ def cmd_eps_sweep(cfg: dict) -> int:
         "tail_correction_den",
     ]
     _write_artifact(out, "eps_sweep", cfg["format"], header, rows, {"rows": rows})
-    limit = hardy_constant(params.p, params.alpha, params.k) ** -1  # quotient limit
     for row in rows:
         _summary(f"eps={row['eps']:g}", row["closed_form"], row["quotient"])
     _summary("eps-sweep limit", limit, rows[-1]["quotient"])
@@ -350,9 +356,12 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per entry of DEFAULTS, helped by its handler's docstring,
-    with --config and a flag for each scalar setting, typed by its default."""
+    with --config and a flag for each scalar setting, typed by its default.
+    Built once per process: every flag defaults to None and `parse_args`
+    returns a fresh Namespace, so no call's arguments reach the next."""
     parser = argparse.ArgumentParser(
         prog="hardysym",
         description="Hardy-inequality sharp-constant and symmetrization workbench",

@@ -142,7 +142,12 @@ def _geometric_widths(length: float, n: int, ln_ratio: float) -> np.ndarray:
 
 
 def _solve_ln_ratio(length: float, n: int, first_width: float) -> float:
-    """ln(ratio) such that geometric widths starting at first_width span length."""
+    """ln(ratio) such that geometric widths starting at first_width span length.
+
+    Bisects at most 200 times, but stops once the midpoint equals an end of
+    the bracket: the bracket keeps f(lo) <= 0 <= f(hi), so from then on no
+    halving moves it, and the result is the float 200 halvings would give.
+    The grids built here reach that point after about 60 halvings."""
     if first_width <= 0:
         raise ConfigurationError(f"first_width must be positive, got {first_width}")
     if first_width * n == length:
@@ -169,6 +174,8 @@ def _solve_ln_ratio(length: float, n: int, first_width: float) -> float:
             raise ConfigurationError("geometric grading: cannot bracket ratio")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) > 0:
             hi = mid
         else:

@@ -34,11 +34,18 @@ def hardy_constant(p: float, alpha: float, k: int) -> float:
     """Optimal constant p^p / (alpha + k)^p of the generalized Hardy inequality.
 
     The infimum of the corresponding Rayleigh quotient is its reciprocal,
-    ((alpha + k) / p)^p.
+    ((alpha + k) / p)^p.  Needs a finite p > 1, a finite alpha, k >= 1 and
+    alpha + k > 0; a NaN fails the clause it is checked against.
     """
-    if p <= 1:
+    if not p > 1:
         raise DomainError("p > 1 violated")
-    if alpha + k <= 0:
+    if not math.isfinite(p):
+        raise DomainError("p finite violated")
+    if not math.isfinite(alpha):
+        raise DomainError("alpha finite violated")
+    if not k >= 1:
+        raise DomainError("k >= 1 violated")
+    if not alpha + k > 0:
         raise DomainError("alpha + k > 0 violated")
     return p**p / (alpha + k) ** p
 

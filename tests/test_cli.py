@@ -48,6 +48,39 @@ def test_constant_validation_error_names_clause(tmp_path, capsys):
     assert "alpha + k > 0" in capsys.readouterr().err
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_flag_or_config_value(tmp_path, capsys):
+    # a flag or config value of one call must not become the next call's default
+    assert run(["constant", "--p", "3", "--k", "3"], tmp_path) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert run(["constant"], tmp_path) == 0
+    assert capsys.readouterr().out.strip() == "%.17g" % (4.0 / 9.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3.0}))
+    assert run(["constant", "--config", str(cfg)], tmp_path) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert run(["constant"], tmp_path) == 0
+    assert capsys.readouterr().out.strip() == "%.17g" % (4.0 / 9.0)
+    assert "p,alpha,k,constant\n2,0,3," in (tmp_path / "constant.csv").read_text()
+
+
+def test_reused_parser_still_rejects_and_recovers(tmp_path, capsys):
+    build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run(["constant", "--nope", "1"], tmp_path)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert run(["constant", "--alpha", "-2"], tmp_path) == 0
+    assert capsys.readouterr().out.strip() == "4"
+
+
 def test_missing_out_dir_is_io_error(tmp_path, capsys):
     code = main(["constant", "--out", str(tmp_path / "missing")])
     assert code == 1
@@ -380,6 +413,14 @@ def test_properties_rearrangement_counters_fire(tmp_path, monkeypatch, name, fau
         (["minimize", "--N", "4", "--k", "3", "--beta", "2.5"], "beta <= p"),
         (["minimize", "--N", "3", "--p", "3", "--beta", "1", "--k", "2"], "p < N"),
         (["symmetrize", "--beta", "-1"], "beta >= 0"),
+        (["constant", "--p", "nan"], "p > 1"),
+        (["constant", "--p", "inf"], "p finite"),
+        (["constant", "--alpha", "nan"], "alpha finite"),
+        (["constant", "--alpha", "inf"], "alpha finite"),
+        (["constant", "--k", "0", "--alpha", "1"], "k >= 1"),
+        (["constant", "--k", "-3", "--alpha", "5"], "k >= 1"),
+        (["eps-sweep", "--p", "inf"], "p finite"),
+        (["eps-sweep", "--alpha", "inf"], "alpha finite"),
     ],
 )
 def test_validation_completeness(tmp_path, capsys, args, clause):

@@ -19,6 +19,7 @@ from hardysym import (
     sphere_area,
     weighted_dirichlet,
 )
+import hardysym.grid as grid_module
 from hardysym.grid import BLOCK_CELLS, DirichletEnergy, as_2d
 
 GRADINGS = [
@@ -61,6 +62,84 @@ def test_geometric_first_width_honored():
 def test_split_grading_edge_lands_on_break():
     g = make_radial_grid(3, 1e3, 128, "split", r_break=1.0)
     assert np.any(np.abs(g.edges - 1.0) < 1e-12)
+
+
+def _reference_ln_ratio(length, n, first_width):
+    """The geometric-ratio bisection with all 200 halvings, no early stop."""
+    if first_width <= 0:
+        raise ConfigurationError(f"first_width must be positive, got {first_width}")
+    if first_width * n == length:
+        return 0.0
+    j = np.arange(n)
+
+    def f(x):
+        if abs(x) < 1e-14:
+            return first_width * n - length
+        if (n - 1) * x > 700.0:
+            return math.inf
+        return first_width * float(np.sum(np.exp(j * x))) - length
+
+    lo, hi = -1.0, 1.0
+    while f(lo) > 0:
+        lo *= 2
+        if lo < -200:
+            raise ConfigurationError("geometric grading: cannot bracket ratio")
+    while f(hi) < 0:
+        hi *= 2
+        if hi > 200:
+            raise ConfigurationError("geometric grading: cannot bracket ratio")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "length, n, first_width",
+    [
+        (999.0, 2048, 1 / 2048),  # eps-sweep's split tail
+        (math.exp(100.0), 4096, 1e-3),  # product-sweep's s-grid
+        (1000.0, 200, 1e-2),  # the radial benchmark grid
+        (8.0, 128, 1 / 128),
+        (1.0, 4, 0.5),  # ratio below 1
+        (1.0, 2, 0.3),
+        (1.0, 1, 1.0),  # n = 1 with the equal-width shortcut
+        (1.0, 16, 1 / 16),  # equal-width shortcut
+    ],
+)
+def test_ratio_bisection_stops_at_its_fixed_point(monkeypatch, length, n, first_width):
+    # the early stop returns the float that 200 halvings return, bit for bit,
+    # and evaluates the sum far fewer than 200 times
+    expected = _reference_ln_ratio(length, n, first_width)
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: calls.append(1) or exp(x))
+    assert grid_module._solve_ln_ratio(length, n, first_width) == expected
+    assert len(calls) < 100
+
+
+def test_ratio_bisection_without_a_root_still_raises():
+    # one cell narrower than the length has no ratio, with or without the stop
+    for solve in (_reference_ln_ratio, grid_module._solve_ln_ratio):
+        with pytest.raises(ConfigurationError, match="cannot bracket"):
+            solve(1.0, 1, 0.3)
+
+
+@pytest.mark.parametrize(
+    "d, r_max, n, grading, kw",
+    [
+        (3, 1e3, 4096, "split", {"r_break": 1.0}),  # eps-sweep
+        (3, math.exp(100.0), 4096, "geometric", {"first_width": 1e-3}),  # product-sweep
+        (3, math.exp(100.0), 8192, "geometric", {"first_width": 1e-3}),  # product-sweep --refine 1
+    ],
+)
+def test_cli_grids_match_the_full_bisection(monkeypatch, d, r_max, n, grading, kw):
+    edges = make_radial_grid(d, r_max, n, grading, **kw).edges
+    monkeypatch.setattr(grid_module, "_solve_ln_ratio", _reference_ln_ratio)
+    assert np.array_equal(edges, make_radial_grid(d, r_max, n, grading, **kw).edges)
 
 
 def test_equimeasure_cells_equal():

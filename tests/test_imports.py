@@ -7,9 +7,11 @@ dead helpers are deleted rather than kept beside their replacements.  And
 only `grid` forms the |y|^a cell weight: no other module calls
 `weight_average`.  Only `functionals.hardy_quotient`, whose test functions
 have power tails past r_max, builds a `DirichletEnergy` with the natural
-outer end: every other energy has the Dirichlet wall.  A last guard keeps
+outer end: every other energy has the Dirichlet wall.  A guard keeps
 scipy out of `import hardysym`, of every default subcommand and of a radial
-(k = N) minimization: scipy is a test dependency only."""
+(k = N) minimization: scipy is a test dependency only.  A last guard keeps
+`import hardysym.cli` from building the argument parser, whose cost would
+land in every caller's import, and checks that `main` builds it only once."""
 
 import ast
 import json
@@ -176,3 +178,37 @@ def test_no_scipy_is_imported_at_runtime(tmp_path):
     assert loaded["radial minimize"] == []
     # the guard is live: it sees an explicit scipy import
     assert "scipy.sparse" in loaded["explicit import"]
+
+
+PARSER_GUARD = """
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import hardysym.cli
+counts = {"import": len(built)}
+for call in ("first", "second"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        hardysym.cli.main(["constant", "--out", sys.argv[1]])
+    counts[call] = len(built)
+print(json.dumps(counts))
+"""
+
+
+def test_cli_import_builds_no_parser(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_GUARD, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["import"] == 0
+    # the guard is live: the first call builds the parser and its subparsers
+    assert counts["first"] > 0
+    assert counts["second"] == counts["first"]

@@ -39,6 +39,19 @@ def test_hardy_constant_validation():
         hardy_constant(1, 0, 3)
     with pytest.raises(DomainError, match="alpha \\+ k > 0"):
         hardy_constant(2, -3, 3)
+    # NaN fails its clause, and no constant is given for p or alpha infinite
+    # or for a space of dimension k <= 0
+    for args, clause in [
+        ((math.nan, 0, 3), "p > 1"),
+        ((math.inf, 0, 3), "p finite"),
+        ((2, math.nan, 3), "alpha finite"),
+        ((2, math.inf, 3), "alpha finite"),
+        ((2, -math.inf, 3), "alpha finite"),
+        ((2, 1, 0), "k >= 1"),
+        ((2, 5, -3), "k >= 1"),
+    ]:
+        with pytest.raises(DomainError, match=clause):
+            hardy_constant(*args)
 
 
 def test_closed_form_quotient_against_quadrature_oracle():
