@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +29,8 @@ class Params:
     Hardy mode is active when alpha is set (requires alpha + k > 0);
     Hardy-Sobolev mode when beta is set, and then q is always derived from
     (N, p, beta) via condition (H): q = p (N - beta) / (N - p).  q is not a
-    constructor argument.
+    constructor argument.  p, alpha and beta must be finite; a NaN fails the
+    first clause it is checked against.
     """
 
     N: int
@@ -45,11 +47,18 @@ class Params:
             raise ParameterError("1 <= k <= N violated")
         if not self.p > 1:
             raise ParameterError("p > 1 violated")
+        if not math.isfinite(self.p):
+            raise ParameterError("p finite violated")
         if self.alpha is None and self.beta is None:
             raise ParameterError("either alpha (Hardy mode) or beta (Hardy-Sobolev mode) required")
-        if self.alpha is not None and not (self.alpha + self.k > 0):
-            raise ParameterError("alpha + k > 0 violated")
+        if self.alpha is not None:
+            if not math.isfinite(self.alpha):
+                raise ParameterError("alpha finite violated")
+            if not self.alpha + self.k > 0:
+                raise ParameterError("alpha + k > 0 violated")
         if self.beta is not None:
+            if not math.isfinite(self.beta):
+                raise ParameterError("beta finite violated")
             if not self.p < self.N:
                 raise ParameterError("p < N violated")
             if not self.beta >= 0:

@@ -398,13 +398,17 @@ class DirichletEnergy:
     radius the edges are the origin edge, the interior edges between
     neighbouring cells, and an outer edge at r_max.  The origin edge carries
     zero gradient (radial symmetry).  With `wall` the outer edge joins the
-    last cell to the Dirichlet zero boundary; without it the outer edge
-    carries zero gradient (natural end), which only hardy_quotient asks for.  Squared edge gradients averaged
-    onto the two edges of each cell give |grad u|^2 per cell.  Unlike
-    centred differences, this scheme has no oscillatory null mode.
+    last cell to the Dirichlet zero boundary.  Without it the outer edge
+    carries zero gradient (natural end), which only hardy_quotient asks
+    for.  Squared edge gradients averaged onto the two edges of each cell
+    give |grad u|^2 per cell.  Unlike centred differences, this scheme has
+    no oscillatory null mode.
 
-    `energy(values)` and `gradient(values)` each read (ns, nt) cell values
-    and keep nothing from one call to the next.
+    `energy(values)` sums the energy of (ns, nt) cell values by row blocks,
+    so no temporary is larger than a block.  `energy_and_gradient(values)`
+    gives the same energy, bit for bit, and the exact gradient, from one
+    pass over the whole array.  Neither call keeps anything from one call
+    to the next.
     """
 
     def __init__(self, grid: CylGrid, wall: bool, p: float, a: float = 0.0, delta: float = 0.0):
@@ -472,26 +476,39 @@ class DirichletEnergy:
 
         return sum_over_row_blocks(values.shape, block_energy)
 
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """The energy's exact gradient at (ns, nt) cell values: psi = (p/2)
-        g2^(p/2 - 1) * weight per cell, spread to the edges (_flux_weights)
-        and times the edge gradients, then the transposed differences of
-        `_edges`.  At p = 2 with delta = 0, psi is the weight itself."""
-        if self.p == 2.0 and not self.delta:
-            gs, gt = self._edges(values)
+    def energy_and_gradient(self, values: np.ndarray) -> tuple:
+        """(energy, gradient) at (ns, nt) cell values, from one `_density`
+        pass over the whole array.
+
+        The energy density g2^(p/2) * weight is summed by the row windows
+        of `energy`, taken as slices of the whole-array density: each
+        window holds the same numbers as `energy`'s block, so the sum has
+        the same bits.  The gradient is psi = (p/2) g2^(p/2 - 1) * weight
+        per cell, spread to the edges (_flux_weights) and times the edge
+        gradients, then the transposed differences of `_edges`.  At p = 2,
+        g2^1 is g2 itself and psi is the weight itself."""
+        gs, gt, g2 = self._density(values)
+        if self.p == 2.0:
             weight_s, weight_t = self._p2_flux_weights
+            density = g2
         else:
-            gs, gt, g2 = self._density(values)
-            weight_s, weight_t = self._flux_weights(0.5 * self.p * g2 ** (self.p / 2.0 - 1.0) * self._weight)
-        flux_s = weight_s * gs
-        flux_s[1 : 1 + len(self.inv_ds)] *= self.inv_ds[:, None]
-        grad = flux_s[:-1] - flux_s[1:]
+            density = g2 ** (self.p / 2.0)
+            psi = g2
+            psi **= self.p / 2.0 - 1.0  # in place, by the same ufunc dispatch as g2 ** (p/2 - 1)
+            psi *= 0.5 * self.p
+            psi *= self._weight
+            weight_s, weight_t = self._flux_weights(psi)
+        density *= self._weight
+        energy = sum_over_row_blocks(values.shape, lambda i0, i1: density[i0:i1].sum())
+        gs *= weight_s
+        gs[1 : 1 + len(self.inv_ds)] *= self.inv_ds[:, None]
+        grad = gs[:-1] - gs[1:]
         if gt is not None:
-            flux_t = weight_t * gt
-            flux_t[:, 1 : 1 + len(self.inv_dt)] *= self.inv_dt
-            grad += flux_t[:, :-1]
-            grad -= flux_t[:, 1:]
-        return grad
+            gt *= weight_t
+            gt[:, 1 : 1 + len(self.inv_dt)] *= self.inv_dt
+            grad += gt[:, :-1]
+            grad -= gt[:, 1:]
+        return energy, grad
 
     def edge_weights(self, axis: int) -> np.ndarray:
         """The edge weights c = k inv_d^2 of the 1-D p = 2 stiffness
@@ -503,16 +520,17 @@ class DirichletEnergy:
         radial, inv_d = (self.grid.s_grid, self.inv_ds) if axis == 0 else (self.grid.t_grid, self.inv_dt)
         return (inv_d * _spread(radial.cell_measures, 0)[1 : 1 + len(inv_d)]) * inv_d
 
-    # The gradient's loop invariants, formed on its first use: a one-shot
-    # `energy` forms only block-sized weights.
+    # energy_and_gradient's loop invariants, formed on its first use: a
+    # one-shot `energy` forms only block-sized weights.
     @cached_property
     def _weight(self) -> np.ndarray:
-        """The whole-grid cell weight."""
+        """The whole-grid cell weight grid.cell_weight(a)."""
         return self.grid.cell_weight(self.a)
 
     @cached_property
     def _p2_flux_weights(self) -> tuple:
-        """The flux weights at p = 2 with delta = 0, where psi is exactly the weight."""
+        """The flux weights at p = 2, where psi is exactly the weight: g2^0 is 1
+        whatever delta is."""
         return self._flux_weights(self._weight)
 
     def _flux_weights(self, psi: np.ndarray) -> tuple:

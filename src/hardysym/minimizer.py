@@ -166,22 +166,24 @@ def splu(grid: CylGrid, dirichlet: DirichletEnergy):
     return SimpleNamespace(solve=lambda R: Vs @ ((Vs.T @ R @ Vt) / denom) @ Vt.T)
 
 
-def _lbfgs_direction(g, Kg, pairs, gamma):
+def _lbfgs_direction(g, Kg, pairs, gamma, scratch):
     """-H g by the L-BFGS two-loop recursion (Nocedal 1980), with H0 =
     gamma K^-1; Kg is K^-1 g, and pairs holds (s, y, K^-1 y, 1 / s.y).
     The recursion's middle solve K^-1 (g - sum alpha_i y_i) is Kg - sum
-    alpha_i K^-1 y_i by linearity, so a direction costs no K-solve."""
+    alpha_i K^-1 y_i by linearity, so a direction costs no K-solve.  Each
+    update runs in place, its product formed in `scratch`, an array of g's
+    shape whose contents are overwritten."""
     if not pairs:
         return -gamma * Kg
     q, r = g.copy(), Kg.copy()
     alphas = []
     for s, y, Ky, rho in reversed(pairs):
         alphas.append(rho * np.vdot(s, q))
-        q -= alphas[-1] * y
-        r -= alphas[-1] * Ky
+        q -= np.multiply(y, alphas[-1], out=scratch)
+        r -= np.multiply(Ky, alphas[-1], out=scratch)
     r *= gamma
     for (s, y, _, rho), alpha in zip(pairs, reversed(alphas)):
-        r += (alpha - rho * np.vdot(y, r)) * s
+        r += np.multiply(s, alpha - rho * np.vdot(y, r), out=scratch)
     r *= -1.0
     return r
 
@@ -209,8 +211,12 @@ def minimize_hs(
     (-g.d) and strictly, so the quotient trace decreases.  A candidate whose
     predicted decrease tau * (-g.d) is at most FLOAT_EPS * Q is not
     evaluated: the float floor, below which no decrease can show, ends the
-    search.  The stationarity residual sqrt(g.K^-1 g) / Q is recorded for every
-    iterate; neither a rescaling nor a dilation of the iterate changes it.
+    search.  Each evaluated candidate takes its energy and energy gradient
+    from one DirichletEnergy.energy_and_gradient call, a single pass over
+    the grid, and the accepted candidate's gradient becomes g, so no
+    iterate is evaluated twice.  The stationarity residual sqrt(g.K^-1 g) /
+    Q is recorded for every iterate; neither a rescaling nor a dilation of
+    the iterate changes it.
     The run stops with stop_reason
       "residual" when it is at most opts.tol,
       "step_rejected_at_stationarity" when no candidate is accepted
@@ -244,7 +250,8 @@ def minimize_hs(
 
     def evaluate(V):
         """Rescale V, a fresh array, in place to constraint value 1 (exact by
-        q-homogeneity); return its constraint, energy and quotient."""
+        q-homogeneity); return its constraint, energy, quotient and energy
+        gradient."""
         c = constraint(V)
         if not np.isfinite(c):
             raise DomainError("constraint integral is not finite")
@@ -252,18 +259,26 @@ def minimize_hs(
             raise DegenerateInputError("cannot project: constraint integral is zero")
         V *= c ** (-1.0 / q)
         c = constraint(V)
-        e = dirichlet.energy(V)
-        return c, e, e / c ** (p / q)
+        e, grad = dirichlet.energy_and_gradient(V)
+        return c, e, e / c ** (p / q), grad
 
-    def stationarity(V, e, c, quotient):
-        """The quotient gradient g at V (C = 1), K^-1 g and the residual."""
-        g = dirichlet.gradient(V) - (p * e / (q * c)) * (q * V ** (q - 1.0) * W)
+    def stationarity(V, grad, e, c, quotient):
+        """The quotient gradient g at V (C = 1), formed in place on the
+        energy gradient grad, K^-1 g and the residual."""
+        product = scratch
+        np.copyto(product, V)
+        product **= q - 1.0  # in place, by the same ufunc dispatch as V ** (q - 1)
+        product *= q
+        product *= W
+        product *= p * e / (q * c)
+        g = np.subtract(grad, product, out=grad)
         Kg = solve(g)
         return g, Kg, math.sqrt(max(np.vdot(g, Kg), 0.0)) / quotient
 
+    scratch = np.empty(grid.shape)  # the products formed in place: steps, direction updates, constraint term
     U = np.maximum(u0.values, 0.0)
-    c, energy, quotient = evaluate(U)
-    g, Kg, res = stationarity(U, energy, c, quotient)
+    c, energy, quotient, grad = evaluate(U)
+    g, Kg, res = stationarity(U, grad, energy, c, quotient)
     history = [(energy, c, quotient, 0.0, res)]
     pairs = deque(maxlen=LBFGS_MEMORY)
     gamma = 1.0
@@ -274,7 +289,7 @@ def minimize_hs(
         if len(history) > opts.max_iter:
             trace.stop_reason = "max_iter"
             break
-        d = _lbfgs_direction(g, Kg, pairs, gamma)
+        d = _lbfgs_direction(g, Kg, pairs, gamma, scratch)
         slope = -np.vdot(g, d)
         if not slope > 0:
             d, slope = -Kg, np.vdot(g, Kg)
@@ -285,10 +300,10 @@ def minimize_hs(
             # rounding of the quotient no later candidate can show one
             if tau * slope <= FLOAT_EPS * quotient:
                 break
-            cand = U + tau * d
+            cand = U + np.multiply(d, tau, out=scratch)
             np.maximum(cand, 0.0, out=cand)
             if (cand > 0).any():
-                c_new, e_new, q_new = evaluate(cand)
+                c_new, e_new, q_new, grad_new = evaluate(cand)
                 decrease = quotient - q_new
                 # strict even where ARMIJO * tau * slope underflows to 0:
                 # accepting an equal quotient can make zero-progress steps
@@ -301,7 +316,7 @@ def minimize_hs(
             break
         del d
 
-        g_new, Kg_new, res = stationarity(cand, e_new, c_new, q_new)
+        g_new, Kg_new, res = stationarity(cand, grad_new, e_new, c_new, q_new)
         s_step = cand - U
         y = g_new - g
         sy = np.vdot(s_step, y)

@@ -35,7 +35,10 @@ def hardy_constant(p: float, alpha: float, k: int) -> float:
 
     The infimum of the corresponding Rayleigh quotient is its reciprocal,
     ((alpha + k) / p)^p.  Needs a finite p > 1, a finite alpha, k >= 1 and
-    alpha + k > 0; a NaN fails the clause it is checked against.
+    alpha + k > 0; a NaN fails the clause it is checked against.  The
+    constant is p**p / (alpha + k)**p wherever that is a finite float, and
+    (p / (alpha + k))**p where it is not; a constant that is not a positive
+    finite float is refused.
     """
     if not p > 1:
         raise DomainError("p > 1 violated")
@@ -47,7 +50,19 @@ def hardy_constant(p: float, alpha: float, k: int) -> float:
         raise DomainError("k >= 1 violated")
     if not alpha + k > 0:
         raise DomainError("alpha + k > 0 violated")
-    return p**p / (alpha + k) ** p
+    try:
+        constant = p**p / (alpha + k) ** p
+    except (OverflowError, ZeroDivisionError):
+        constant = math.inf  # a power out of float range
+    if constant < math.inf:
+        return constant
+    try:
+        constant = (p / (alpha + k)) ** p
+    except OverflowError:
+        raise DomainError("p^p / (alpha + k)^p <= float max violated: the constant overflows") from None
+    if constant == 0.0:
+        raise DomainError("p^p / (alpha + k)^p > 0 violated: the constant underflows to 0")
+    return constant
 
 
 def _decay_exponent(p: float, alpha: float, d: int, eps: float) -> float:

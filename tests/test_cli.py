@@ -42,6 +42,13 @@ def test_constant_json_format(tmp_path):
     assert payload["constant"] == pytest.approx(4.0 / 9.0)
 
 
+def test_constant_past_an_overflowing_power(tmp_path, capsys):
+    # 200^200 and 100^200 overflow a float, their ratio 2^200 does not
+    code = run(["constant", "--p", "200", "--alpha", "97", "--k", "3"], tmp_path)
+    assert code == 0
+    assert float(capsys.readouterr().out) == 2.0**200
+
+
 def test_constant_validation_error_names_clause(tmp_path, capsys):
     code = run(["constant", "--p", "2", "--alpha", "-5", "--k", "3"], tmp_path)
     assert code == 2
@@ -421,6 +428,8 @@ def test_properties_rearrangement_counters_fire(tmp_path, monkeypatch, name, fau
         (["constant", "--k", "-3", "--alpha", "5"], "k >= 1"),
         (["eps-sweep", "--p", "inf"], "p finite"),
         (["eps-sweep", "--alpha", "inf"], "alpha finite"),
+        (["constant", "--p", "1000", "--alpha", "0", "--k", "3"], "the constant overflows"),
+        (["constant", "--p", "2", "--alpha", "1e200", "--k", "3"], "the constant underflows"),
     ],
 )
 def test_validation_completeness(tmp_path, capsys, args, clause):

@@ -56,6 +56,13 @@ def test_params_hs_mode_derives_q():
         (dict(N=4, k=2, p=2, beta=-1), "beta >= 0"),
         (dict(N=4, k=1, p=2, beta=1), "beta < k"),
         (dict(N=4, k=3, p=2, beta=2.5), "beta <= p"),
+        (dict(N=3, k=3, p=math.nan, alpha=0), "p > 1"),
+        (dict(N=3, k=3, p=math.inf, alpha=0), "p finite"),
+        (dict(N=3, k=3, p=2, alpha=math.inf), "alpha finite"),
+        (dict(N=3, k=3, p=2, alpha=-math.inf), "alpha finite"),
+        (dict(N=3, k=3, p=2, alpha=math.nan), "alpha finite"),
+        (dict(N=4, k=2, p=2, beta=math.inf), "beta finite"),
+        (dict(N=4, k=2, p=2, beta=math.nan), "beta finite"),
     ],
 )
 def test_params_named_clause_errors(kwargs, clause):

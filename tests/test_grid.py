@@ -320,7 +320,7 @@ def test_energy_gradient_is_exact_adjoint(grid, wall):
     for p, delta in ((3.0, 1e-3), (2.0, 0.0)):
         dirichlet = DirichletEnergy(grid, wall, p, 1.0, delta)
         energy = dirichlet.energy(U)
-        grad = dirichlet.gradient(U)
+        grad = dirichlet.energy_and_gradient(U)[1]
         h = 1e-5
         slope = (dirichlet.energy(U + h * V) - dirichlet.energy(U - h * V)) / (2 * h)
         assert slope == pytest.approx(float(np.sum(grad * V)), rel=1e-6)
@@ -417,10 +417,11 @@ def test_eight_power_of_two_blocks_add_in_whole_array_order():
 
 
 def whole_array_gradient(grid, wall, values, p, s_weight, delta):
-    """DirichletEnergy.gradient written out on whole arrays: the cell
-    density's psi = (p/2) (|grad u|^2 + delta^2)^(p/2 - 1) * weight, spread
-    by halves onto the edges of each cell, times twice the edge gradient,
-    then back through the transposed differences."""
+    """The gradient of DirichletEnergy.energy_and_gradient written out on
+    whole arrays: the cell density's psi = (p/2) (|grad u|^2 +
+    delta^2)^(p/2 - 1) * weight, spread by halves onto the edges of each
+    cell, times twice the edge gradient, then back through the transposed
+    differences."""
     ns, nt = values.shape
     inv_ds = inverse_spacings(grid.s_grid, wall)
     gs = np.zeros((ns + 1, nt))
@@ -477,7 +478,30 @@ def test_state_energy_and_gradient_are_bit_identical(name, p, delta):
             else:
                 assert energy == pytest.approx(whole_array_energy(grid, True, values, p, s_weight, delta), rel=1e-13)
             expected = whole_array_gradient(grid, True, values, p, s_weight, delta)
-            assert np.array_equal(dirichlet.gradient(values), expected)
+            assert np.array_equal(dirichlet.energy_and_gradient(values)[1], expected)
+
+
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("p, delta", [(2.0, 0.0), (3.0, 1e-3)])
+def test_energy_and_gradient_has_the_bits_of_the_separate_calls(wall, p, delta):
+    # the one-pass call must give the blocked energy exactly and the
+    # whole-array gradient exactly: on one-block grids with C-ordered and
+    # Fortran-ordered values, on the ragged four-block grid and on a radial grid
+    cyl = PARITY_GRIDS["cylinder"]()
+    fortran = double_star(GridFunction(cyl, bumpy(cyl, 5)[::-1].copy())).values
+    assert fortran.flags["F_CONTIGUOUS"] and not fortran.flags["C_CONTIGUOUS"]
+    blocks, radial = PARITY_GRIDS["blocks"](), PARITY_GRIDS["radial"]()
+    cases = [(cyl, bumpy(cyl, 5)), (cyl, fortran), (blocks, bumpy(blocks, 11)), (radial, bumpy(radial, 6))]
+    assert blocks.shape[0] * blocks.shape[1] > 3 * BLOCK_CELLS
+    for grid, values in cases:
+        dirichlet = DirichletEnergy(grid, wall, p, 0.0, delta)
+        energy, grad = dirichlet.energy_and_gradient(values)
+        assert energy == dirichlet.energy(values)
+        expected = whole_array_gradient(grid, wall, values, p, grid.s_grid.cell_measures, delta)
+        assert np.array_equal(grad, expected)
+    # with a weight |y|^a, the whole-grid weight has the bits of the block rows
+    dirichlet = DirichletEnergy(blocks, wall, p, 1.0, delta)
+    assert dirichlet.energy_and_gradient(bumpy(blocks, 11))[0] == dirichlet.energy(bumpy(blocks, 11))
 
 
 def tridiagonal(c, n):

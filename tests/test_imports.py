@@ -7,7 +7,10 @@ dead helpers are deleted rather than kept beside their replacements.  And
 only `grid` forms the |y|^a cell weight: no other module calls
 `weight_average`.  Only `functionals.hardy_quotient`, whose test functions
 have power tails past r_max, builds a `DirichletEnergy` with the natural
-outer end: every other energy has the Dirichlet wall.  A guard keeps
+outer end: every other energy has the Dirichlet wall.  `minimizer`
+evaluates its `DirichletEnergy` only through `energy_and_gradient`, one
+pass per candidate; of the other methods it calls only `edge_weights`,
+which states the metric.  A guard keeps
 scipy out of `import hardysym`, of every default subcommand and of a radial
 (k = N) minimization: scipy is a test dependency only.  A last guard keeps
 `import hardysym.cli` from building the argument parser, whose cost would
@@ -137,6 +140,45 @@ def test_guard_finds_a_natural_end_call():
 def test_only_hardy_quotient_takes_the_natural_end():
     calls = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py")) for scope in natural_end_calls(path.read_text())]
     assert calls == ["functionals.hardy_quotient"]
+
+
+def dirichlet_methods() -> set:
+    """Names of the functions defined in the body of grid.DirichletEnergy."""
+    tree = ast.parse((PACKAGE / "grid.py").read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DirichletEnergy"]
+    return {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+
+def second_dirichlet_evaluations(source: str, methods: set) -> list:
+    """The attributes in `source` named after one of `methods` other than
+    energy_and_gradient and edge_weights, in order of appearance."""
+    allowed = {"energy_and_gradient", "edge_weights"}
+    nodes = sorted(
+        (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+    return [node.attr for node in nodes if node.attr in methods - allowed]
+
+
+def test_guard_finds_a_second_dirichlet_evaluation():
+    methods = dirichlet_methods()
+    assert {"energy", "energy_and_gradient", "edge_weights", "_density", "_edges"} <= methods
+    source = (
+        "e, grad = dirichlet.energy_and_gradient(V)\n"
+        "c = dirichlet.edge_weights(0)\n"
+        "e = dirichlet.energy(V)\n"
+        "gs, gt = self.dirichlet._edges(V)\n"
+        "energies = trace.energies\n"
+    )
+    assert second_dirichlet_evaluations(source, methods) == ["energy", "_edges"]
+    # a gradient method of its own, were it added back, would be caught too
+    assert second_dirichlet_evaluations("g = dirichlet.gradient(V)\n", methods | {"gradient"}) == ["gradient"]
+
+
+def test_minimizer_evaluates_the_energy_only_through_energy_and_gradient():
+    source = (PACKAGE / "minimizer.py").read_text()
+    assert second_dirichlet_evaluations(source, dirichlet_methods()) == []
+    assert "energy_and_gradient" in {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
 
 
 SCIPY_GUARD = """

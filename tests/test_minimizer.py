@@ -204,23 +204,24 @@ def test_line_search_evaluates_no_candidate_below_the_float_floor(monkeypatch):
     # every candidate whose energy is summed must predict a decrease
     # tau * slope above eps * Q; a search ends, rejected, at the first tau
     # that does not.  The direction and slope of each iteration are read
-    # off _lbfgs_direction's arguments, the candidates off energy's calls
+    # off _lbfgs_direction's arguments, the candidates off
+    # energy_and_gradient's calls
     eps = np.finfo(float).eps
     searches, energy_calls = [], [0]
-    direction, energy = minimizer._lbfgs_direction, DirichletEnergy.energy
+    direction, energy_and_gradient = minimizer._lbfgs_direction, DirichletEnergy.energy_and_gradient
 
-    def recording_direction(g, Kg, pairs, gamma):
-        d = direction(g, Kg, pairs, gamma)
+    def recording_direction(g, Kg, pairs, gamma, scratch):
+        d = direction(g, Kg, pairs, gamma, scratch)
         slope = -np.vdot(g, d)
         searches.append((slope if slope > 0 else np.vdot(g, Kg), energy_calls[0]))
         return d
 
-    def counting_energy(self, values):
+    def counting_energy_and_gradient(self, values):
         energy_calls[0] += 1
-        return energy(self, values)
+        return energy_and_gradient(self, values)
 
     monkeypatch.setattr(minimizer, "_lbfgs_direction", recording_direction)
-    monkeypatch.setattr(DirichletEnergy, "energy", counting_energy)
+    monkeypatch.setattr(DirichletEnergy, "energy_and_gradient", counting_energy_and_gradient)
     tau0 = DescentOptions.tau0
     for params, grid, init in zero_tol_runs():
         searches.clear()
@@ -243,6 +244,43 @@ def test_line_search_evaluates_no_candidate_below_the_float_floor(monkeypatch):
 @pytest.mark.parametrize(
     "params, grid",
     [
+        (HS_PARAMS, hs_grid(24)),
+        (Params.hardy_sobolev(N=4, k=2, p=3, beta=1), hs_grid(24)),
+        (
+            Params.hardy_sobolev(N=3, k=3, p=2, beta=1),
+            CylGrid(make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2)),
+        ),
+    ],
+)
+def test_one_density_pass_per_candidate(monkeypatch, params, grid):
+    # each evaluated candidate, the start included, costs one _density pass
+    # over the grid's edges and nothing else: no separate energy and no
+    # second _edges pass for its gradient
+    calls = dict.fromkeys(("_density", "_edges", "energy"), 0)
+
+    def counting(name):
+        method = getattr(DirichletEnergy, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(DirichletEnergy, name, counting(name))
+    tr = minimize_hs(params, grid, opts=DescentOptions(max_iter=15))
+    # a max_iter stop has no rejected search, so the accepted steps give
+    # every candidate: a step tau0 / 2^j was the (j + 1)-th of its search
+    assert tr.stop_reason == "max_iter"
+    tau0 = DescentOptions.tau0
+    candidates = 1 + sum(round(np.log2(tau0 / tau)) + 1 for tau in tr.step_sizes[1:])
+    assert calls == {"_density": candidates, "_edges": candidates, "energy": 0}
+
+
+@pytest.mark.parametrize(
+    "params, grid",
+    [
         (HS_PARAMS, hs_grid(32)),
         (
             Params.hardy_sobolev(N=3, k=3, p=2, beta=1),
@@ -256,17 +294,18 @@ def test_trace_constraint_is_hs_constraint(params, grid):
 
 
 class RecordingEnergy(DirichletEnergy):
-    """Remembers, for each gradient call, a copy of its values and the
-    gradient returned."""
+    """Remembers, for each energy_and_gradient call, a copy of its values,
+    the energy and a copy of the gradient returned (minimize_hs goes on to
+    form the quotient gradient in place on it)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = []
 
-    def gradient(self, values):
-        grad = super().gradient(values)
-        self.calls.append((values.copy(), grad))
-        return grad
+    def energy_and_gradient(self, values):
+        energy, grad = super().energy_and_gradient(values)
+        self.calls.append((values.copy(), energy, grad.copy()))
+        return energy, grad
 
 
 @pytest.mark.parametrize(
@@ -282,21 +321,34 @@ class RecordingEnergy(DirichletEnergy):
 )
 def test_each_gradient_is_that_of_the_accepted_iterate(monkeypatch, params, grid):
     # iteration k's gradient must be, bit for bit, the gradient of iterate
-    # k itself, and that iterate's energy the one in the trace
-    made = []
+    # k itself, and that iterate's energy the one in the trace.  The calls
+    # on rejected candidates are skipped: iterate k is the last call made
+    # before the direction at iterate k, and the final iterate, unless its
+    # search was rejected, the last call of the run
+    made, marks = [], []
+    direction = minimizer._lbfgs_direction
 
     def recording(*args, **kwargs):
         made.append(RecordingEnergy(*args, **kwargs))
         return made[-1]
 
+    def marking_direction(*args):
+        marks.append(len(made[0].calls))
+        return direction(*args)
+
     monkeypatch.setattr("hardysym.minimizer.DirichletEnergy", recording)
+    monkeypatch.setattr(minimizer, "_lbfgs_direction", marking_direction)
     tr = minimize_hs(params, grid, opts=DescentOptions(max_iter=40))
     (dirichlet,) = made
     assert len(dirichlet.calls) >= len(tr.quotients) - 1 >= 10
+    iterates = [mark - 1 for mark in marks]
+    if tr.stop_reason != "step_rejected_at_stationarity":
+        iterates.append(len(dirichlet.calls) - 1)
+    assert len(iterates) == len(tr.energies)
     fresh = DirichletEnergy(grid, True, params.p, 0.0, tr.delta_reg)
-    for energy, (values, grad) in zip(tr.energies, dirichlet.calls):
+    for energy, (values, _, grad) in zip(tr.energies, [dirichlet.calls[i] for i in iterates]):
         assert fresh.energy(values) == energy
-        assert np.array_equal(grad, fresh.gradient(values))
+        assert np.array_equal(grad, fresh.energy_and_gradient(values)[1])
 
 
 def test_grid_not_matching_params_rejected():
@@ -347,7 +399,7 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
     solve = splu(g, dirichlet).solve
     assert np.max(np.abs(solve(R) - expected)) <= 1e-12 * np.max(np.abs(expected))
     # the matrix is half the p = 2 energy's Hessian
-    grad = dirichlet.gradient(R)
+    grad = dirichlet.energy_and_gradient(R)[1]
     back = solve(0.5 * grad)
     assert np.max(np.abs(back - R)) <= 1e-12 * np.max(np.abs(R))
 
@@ -374,14 +426,14 @@ def test_lbfgs_direction_matches_the_two_loop_with_a_middle_solve():
     pairs = []
     for _ in range(5):
         s = rng.standard_normal(g.shape)
-        y = dirichlet.gradient(s) + 0.5 * rng.standard_normal(g.shape)
+        y = dirichlet.energy_and_gradient(s)[1] + 0.5 * rng.standard_normal(g.shape)
         assert np.vdot(s, y) > 0
         pairs.append((s, y))
     s, y = pairs[-1]
     gamma = np.vdot(s, y) / np.vdot(y, solve(y))
     expected = reference_two_loop(grad, pairs, gamma, solve)
     stored = [(s, y, solve(y), 1.0 / np.vdot(s, y)) for s, y in pairs]
-    d = _lbfgs_direction(grad, solve(grad), stored, gamma)
+    d = _lbfgs_direction(grad, solve(grad), stored, gamma, np.empty_like(grad))
     assert np.max(np.abs(d - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 

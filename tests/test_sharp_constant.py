@@ -34,6 +34,21 @@ def test_hardy_constant_values():
     assert hardy_constant(3, 1, 4) == pytest.approx(27.0 / 125.0, abs=1e-15)
 
 
+def test_hardy_constant_keeps_its_expression_and_leaves_it_only_on_overflow():
+    # where p^p / (alpha + k)^p is finite it is the value, bit for bit
+    # ((3/5)^3 is not 27/125); where a power overflows, the ratio's power
+    assert hardy_constant(3, 2, 3) == 27 / 125 != (3 / 5) ** 3
+    assert hardy_constant(200, 97, 3) == 2.0**200
+    assert hardy_constant(2, 1e160, 3) == (2 / (1e160 + 3)) ** 2 > 0
+    for args, clause in [
+        ((1000, 0, 3), "the constant overflows"),
+        ((100, -3 + 1e-3, 3), "the constant overflows"),
+        ((2, 1e200, 3), "the constant underflows to 0"),
+    ]:
+        with pytest.raises(DomainError, match=clause):
+            hardy_constant(*args)
+
+
 def test_hardy_constant_validation():
     with pytest.raises(DomainError, match="p > 1"):
         hardy_constant(1, 0, 3)
