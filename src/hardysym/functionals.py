@@ -115,14 +115,14 @@ def weighted_p_norm(u: GridFunction, p: float, a: float) -> float:
     return sum_over_row_blocks(values.shape, block_norm)
 
 
-def weighted_dirichlet(u: GridFunction, p: float, a: float) -> float:
-    """integral of |grad u|^p |y|^a on the ball of radius r_max with u = 0 on
-    its boundary: the energy of DirichletEnergy with the wall edge that joins
-    the last cell of each radius to zero at r_max."""
+def weighted_dirichlet(u: GridFunction, p: float) -> float:
+    """integral of |grad u|^p on the ball of radius r_max with u = 0 on its
+    boundary: the energy of DirichletEnergy with the wall edge that joins the
+    last cell of each radius to zero at r_max."""
     if p <= 0:
         raise DomainError("exponent p must be positive")
     values, grid = as_2d(u)
-    return DirichletEnergy(grid, True, p, a).energy(values)
+    return DirichletEnergy(grid, True, p).energy(values)
 
 
 def hardy_quotient(u: GridFunction, params: Params) -> QuotientReport:
@@ -153,6 +153,6 @@ def hs_quotient(u: GridFunction, params: Params) -> QuotientReport:
     c = hs_constraint(u, params)
     if c <= 0:
         raise DegenerateInputError("hs_quotient: zero constraint integral")
-    num = weighted_dirichlet(u, params.p, 0.0)
+    num = weighted_dirichlet(u, params.p)
     den = c ** (params.p / params.q)
     return QuotientReport(num, den, num / den)

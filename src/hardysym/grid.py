@@ -46,16 +46,8 @@ def sphere_area(d: int) -> float:
 
 
 def _power_integral(edges: np.ndarray, e: float) -> np.ndarray:
-    """Exact per-cell integral of r^e dr.
-
-    Requires e > -1 whenever the first edge is 0 (integrability at the origin).
-    """
-    if edges[0] == 0.0 and e <= -1.0:
-        raise DomainError(f"integral of r^{e} not integrable at r = 0")
-    if e == -1.0:
-        return np.log(edges[1:] / edges[:-1])
-    powers = edges ** (e + 1.0)
-    return np.diff(powers) / (e + 1.0)
+    """Exact per-cell integral of r^e dr, for e > -1."""
+    return np.diff(edges ** (e + 1.0)) / (e + 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,14 +69,16 @@ class RadialGrid:
             arr.setflags(write=False)
         if self.dim < 1:
             raise DomainError("RadialGrid: dim >= 1 required")
+        if len(self.nodes) < 1:
+            raise ConfigurationError("RadialGrid: need at least one cell")
         if not np.all(np.diff(self.edges) > 0):
             raise ConfigurationError("RadialGrid: edges must be strictly increasing")
         if not np.all(np.diff(self.nodes) > 0):
             raise ConfigurationError("RadialGrid: nodes must be strictly increasing")
         if np.any(self.nodes <= self.edges[:-1]) or np.any(self.nodes >= self.edges[1:]):
             raise ConfigurationError("RadialGrid: each node must lie inside its cell")
-        if np.any(self.cell_measures <= 0):
-            raise ConfigurationError("RadialGrid: all cell measures must be positive")
+        if not (np.isfinite(self.cell_measures) & (self.cell_measures > 0)).all():
+            raise ConfigurationError("RadialGrid: all cell measures must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -127,18 +121,12 @@ def radial_grid_from_edges(d: int, edges, grading: Optional[dict] = None) -> Rad
         raise ConfigurationError("need at least one cell")
     nodes = 0.5 * (edges[:-1] + edges[1:])
     # differences of the rounded powers edges^d: merging two cells keeps
-    # their summed measure only to rounding, a few ulps, not exactly
-    measures = sphere_area(d) / d * np.diff(edges ** d)
+    # their summed measure only to rounding, a few ulps, not exactly.  A
+    # power past the float range makes an inf or nan measure, which
+    # RadialGrid rejects by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        measures = sphere_area(d) / d * np.diff(edges ** d)
     return RadialGrid(d, edges, nodes, measures, grading or {"kind": "explicit"})
-
-
-def _geometric_widths(length: float, n: int, ln_ratio: float) -> np.ndarray:
-    """Cell widths in geometric progression (ratio = exp(ln_ratio)) summing to length."""
-    if abs(ln_ratio) < 1e-14:
-        return np.full(n, length / n)
-    x = np.arange(n) * ln_ratio
-    w = np.exp(x - x.max())
-    return w * (length / w.sum())
 
 
 def _solve_ln_ratio(length: float, n: int, first_width: float) -> float:
@@ -183,6 +171,24 @@ def _solve_ln_ratio(length: float, n: int, first_width: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _geometric_edges(start: float, end: float, n: int, first_width: float) -> tuple:
+    """(edges, ln_ratio): the n cell edges past `start` of cells whose widths
+    grow in geometric progression from first_width, the ratio exp(ln_ratio)
+    solved so that they span [start, end].  The widths are normalized to sum
+    to end - start, and the last edge is pinned to `end`."""
+    length = end - start
+    ln_ratio = _solve_ln_ratio(length, n, first_width)
+    if abs(ln_ratio) < 1e-14:
+        widths = np.full(n, length / n)
+    else:
+        x = np.arange(n) * ln_ratio
+        widths = np.exp(x - x.max())
+        widths *= length / widths.sum()
+    edges = start + np.cumsum(widths)
+    edges[-1] = end
+    return edges, ln_ratio
+
+
 def make_radial_grid(
     d: int,
     r_max: float,
@@ -214,10 +220,8 @@ def make_radial_grid(
     elif grading == "geometric":
         if first_width is None:
             raise ConfigurationError("geometric grading needs first_width")
-        ln_ratio = _solve_ln_ratio(r_max, n, first_width)
-        widths = _geometric_widths(r_max, n, ln_ratio)
-        edges = np.concatenate(([0.0], np.cumsum(widths)))
-        edges[-1] = r_max
+        outer, ln_ratio = _geometric_edges(0.0, r_max, n, first_width)
+        edges = np.concatenate(([0.0], outer))
         desc = {"kind": "geometric", "ratio": math.exp(ln_ratio)}
     elif grading == "split":
         if r_break is None or not (0.0 < r_break < r_max):
@@ -226,14 +230,9 @@ def make_radial_grid(
         n2 = n - n1
         if n2 < 1:
             raise ConfigurationError("split grading: need at least 2 cells")
-        inner = np.linspace(0.0, r_break, n1 + 1)
-        w0 = r_break / n1
-        ln_ratio = _solve_ln_ratio(r_max - r_break, n2, w0)
-        widths = _geometric_widths(r_max - r_break, n2, ln_ratio)
-        # keep widths continuous across the break even after normalization
-        outer_edges = r_break + np.cumsum(widths)
-        outer_edges[-1] = r_max
-        edges = np.concatenate((inner, outer_edges))
+        # the tail's first width is the inner spacing: widths continuous across the break
+        outer, _ = _geometric_edges(r_break, r_max, n2, r_break / n1)
+        edges = np.concatenate((np.linspace(0.0, r_break, n1 + 1), outer))
         desc = {"kind": "split", "r_break": r_break}
     elif grading == "equimeasure":
         edges = r_max * (np.arange(n + 1) / n) ** (1.0 / d)
@@ -254,10 +253,6 @@ class CylGrid:
 
     s_grid: RadialGrid
     t_grid: Optional[RadialGrid] = None
-
-    def __post_init__(self):
-        if self.t_grid is not None and self.t_grid.dim < 1:
-            raise DomainError("CylGrid: t_grid dimension must be >= 1")
 
     @property
     def k(self) -> int:

@@ -346,8 +346,6 @@ def symmetrize_and_compare(u: GridFunction, params: Params) -> dict:
     input goes from 6.635 to 9.060.
     """
     c_before = hs_constraint(u, params)
-    if c_before <= 0:
-        raise DegenerateInputError("zero constraint integral")
     before = hs_quotient(u, params)
     u_sym = double_star(u)
     c_after = hs_constraint(u_sym, params)
@@ -445,7 +443,7 @@ def hardy_endpoint_sweep(
 
     rows = []
     for eps, lam in ladder:
-        v = eps_family_truncated(eps, p, -p, s_grid)
+        v = eps_family_truncated(eps, p, s_grid)
         if p == 2.0:
             numerator, constraint = _product_integrals(v, lam, grid, -params.beta)
             denominator = constraint ** (p / params.q)

@@ -129,7 +129,7 @@ def double_star(u: GridFunction) -> GridFunction:
 def is_double_star_fixed(u: GridFunction) -> bool:
     """Whether double_star moves u by at most 1e-12 of its maximum."""
     fixed = double_star(u)
-    scale = float(u.values.max()) if u.values.size else 0.0
+    scale = float(u.values.max())
     if scale == 0.0:
         return True
     return bool(np.max(np.abs(fixed.values - u.values)) <= 1e-12 * scale)
@@ -178,8 +178,8 @@ def polya_szego_check(u: GridFunction, p: float) -> PolyaSzegoReport:
     three-bump input on two geometric n = 128 radii with an origin cell of
     1/128 reads E = 338.4, E* = 366.0 and E** = 484.3.
     """
-    e_plain = weighted_dirichlet(u, p, 0.0)
+    e_plain = weighted_dirichlet(u, p)
     u_star = schwarz_y(u)
-    e_star = weighted_dirichlet(u_star, p, 0.0)
-    e_dstar = weighted_dirichlet(schwarz_z(u_star), p, 0.0)
+    e_star = weighted_dirichlet(u_star, p)
+    e_dstar = weighted_dirichlet(schwarz_z(u_star), p)
     return PolyaSzegoReport(e_plain, e_star, e_dstar)

@@ -87,8 +87,9 @@ def eps_family(eps: float, params: Params, grid: RadialGrid) -> GridFunction:
     return GridFunction(grid, values)
 
 
-def eps_family_truncated(eps: float, p: float, alpha: float, grid: RadialGrid) -> GridFunction:
-    """Compactly supported variant: the power tail is shifted down to hit 0 at r_max.
+def eps_family_truncated(eps: float, p: float, grid: RadialGrid) -> GridFunction:
+    """Compactly supported variant at the Hardy endpoint alpha = -p: 1 on
+    r <= 1, r^(-(dim - p)/p - eps) outside, shifted down to hit 0 at r_max.
 
     Keeps the gradient of the decay piece unchanged while making the function
     admissible on the truncated domain.
@@ -97,7 +98,7 @@ def eps_family_truncated(eps: float, p: float, alpha: float, grid: RadialGrid) -
         raise DomainError("eps > 0 required")
     if grid.r_max <= 1.0:
         raise ConfigurationError("r_max > 1 required")
-    g = _decay_exponent(p, alpha, grid.dim, eps)
+    g = _decay_exponent(p, -p, grid.dim, eps)
     c = grid.r_max ** (-g)
     r = grid.nodes
     values = np.clip(np.minimum(1.0, r ** (-g)) - c, 0.0, None)
@@ -238,7 +239,7 @@ def product_family(v: GridFunction, lambda_scale: float, grid: CylGrid) -> GridF
 
 
 def _product_integrals(v: GridFunction, lambda_scale: float, grid: CylGrid, a: float) -> tuple:
-    """(weighted_dirichlet(u, 2, 0), weighted_p_norm(u, 2, a)) of
+    """(weighted_dirichlet(u, 2), weighted_p_norm(u, 2, a)) of
     u = product_family(v, lambda_scale, grid), equal up to rounding, with no
     (n_s, n_t) array: the norm is the product of the 1-D norms of v and w,
     and the p = 2 energy splits exactly, E(v w) = E_s(v) M_t(w) +
@@ -247,7 +248,7 @@ def _product_integrals(v: GridFunction, lambda_scale: float, grid: CylGrid, a: f
     w = GridFunction(grid.t_grid, _bump(v, lambda_scale, grid))
     v = GridFunction(grid.s_grid, v.values)  # the cylinder's own s-radius
     m_v, m_w = weighted_p_norm(v, 2.0, 0.0), weighted_p_norm(w, 2.0, 0.0)
-    energy = weighted_dirichlet(v, 2.0, 0.0) * m_w + m_v * weighted_dirichlet(w, 2.0, 0.0)
+    energy = weighted_dirichlet(v, 2.0) * m_w + m_v * weighted_dirichlet(w, 2.0)
     return energy, weighted_p_norm(v, 2.0, a) * m_w
 
 

@@ -377,28 +377,27 @@ def test_properties_clean(tmp_path, capsys):
 
 
 def test_properties_violation_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setattr("hardysym.cli.convexity_bound", lambda s, t, lam, p: (2.0, 1.0))
+    monkeypatch.setattr("hardysym.cli.convexity_bound", lambda s, t, lam, p: (np.full_like(s, 2.0), np.ones_like(s)))
     code = run(["properties", "--trials", "10"], tmp_path)
     assert code == 3
     payload = json.loads((tmp_path / "properties.json").read_text())
     assert payload["convexity_violations"] == 10
 
 
-def _not_equimeasurable(values, measures):
-    return np.zeros_like(values)
+def _not_equimeasurable(u):
+    # the zero function: its own rearrangement, so idempotent
+    return GridFunction(u.grid, np.zeros_like(u.values))
 
 
 def _not_idempotent(u):
-    # each application adds one to the last cell, so u** != u****
-    values = np.array(u.values)
-    values[-1] += 1.0
-    return GridFunction(u.grid, values)
+    # the reversal: equimeasurable, but applied twice it gives u back, not u reversed
+    return GridFunction(u.grid, u.values[::-1].copy())
 
 
 @pytest.mark.parametrize(
     "name, fault, counter",
     [
-        ("decreasing_rearrangement_1d", _not_equimeasurable, "equimeasurability_failures"),
+        ("double_star", _not_equimeasurable, "equimeasurability_failures"),
         ("double_star", _not_idempotent, "idempotence_failures"),
         ("hardy_littlewood_check", lambda u, v: (1.0, 0.5), "hardy_littlewood_violations"),
     ],
@@ -430,9 +429,37 @@ def test_properties_rearrangement_counters_fire(tmp_path, monkeypatch, name, fau
         (["eps-sweep", "--alpha", "inf"], "alpha finite"),
         (["constant", "--p", "1000", "--alpha", "0", "--k", "3"], "the constant overflows"),
         (["constant", "--p", "2", "--alpha", "1e200", "--k", "3"], "the constant underflows"),
+        # the constant is subnormal, so the quotient limit, its reciprocal, overflows
+        (["eps-sweep", "--alpha", "1e160"], "the quotient limit overflows"),
+        # at r_max = 1e200 the k = 2 cell measures r^2 overflow: the grid is refused,
+        # not a nan quotient printed or the start called all-zero
+        (["symmetrize", "--r-max", "1e200"], "all cell measures must be positive"),
+        (["minimize", "--r-max", "1e200"], "all cell measures must be positive"),
     ],
 )
 def test_validation_completeness(tmp_path, capsys, args, clause):
     code = run(args, tmp_path)
     assert code == 2
     assert clause in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # rejected before any artifact is written
+
+
+def test_product_sweep_off_p_2_deterministic_and_decreasing(tmp_path):
+    # at p != 2 each rung is hs_quotient of the 2-D product family
+    args = ["product-sweep", "--N", "4", "--k", "3", "--p", "2.5", "--beta", "2.5", "--n-s", "256", "--n-t", "64"]
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        out.mkdir()
+        assert run(args, out) == 0
+        outputs.append((out / "product_sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    header, *lines = outputs[0].decode().splitlines()
+    assert header == "eps,lambda,numerator,denominator,quotient,target,rel_gap"
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    quotients = [row["quotient"] for row in rows]
+    target = ((3 - 2.5) / 2.5) ** 2.5
+    assert len(quotients) == 5
+    assert all(row["target"] == target for row in rows)
+    assert all(a > b for a, b in zip(quotients, quotients[1:]))
+    assert quotients[-1] > target

@@ -146,7 +146,7 @@ def test_weighted_dirichlet_constant_is_zero():
     g = cyl_grid(n=16)
     u = GridFunction(g, np.ones(g.shape))
     assert DirichletEnergy(g, False, 2.0, 0.0).energy(u.values) == 0.0
-    assert weighted_dirichlet(u, 2.0, 0.0) > 0.0
+    assert weighted_dirichlet(u, 2.0) > 0.0
 
 
 # ---------------------------------------------------------------------------

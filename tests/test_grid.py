@@ -11,6 +11,7 @@ from hardysym import (
     CylGrid,
     DomainError,
     GridFunction,
+    RadialGrid,
     UsageError,
     double_star,
     integrate,
@@ -138,6 +139,7 @@ def test_ratio_bisection_without_a_root_still_raises():
 )
 def test_cli_grids_match_the_full_bisection(monkeypatch, d, r_max, n, grading, kw):
     edges = make_radial_grid(d, r_max, n, grading, **kw).edges
+    assert edges[-1] == r_max  # pinned: the summed widths miss it by rounding on these grids
     monkeypatch.setattr(grid_module, "_solve_ln_ratio", _reference_ln_ratio)
     assert np.array_equal(edges, make_radial_grid(d, r_max, n, grading, **kw).edges)
 
@@ -210,6 +212,24 @@ def test_make_radial_grid_validation():
         make_radial_grid(3, 1.0, 10, "geometric")
 
 
+def test_radial_grid_rejects_no_cells():
+    with pytest.raises(ConfigurationError, match="at least one cell"):
+        RadialGrid(1, np.array([0.0]), np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_radial_grid_rejects_non_finite_or_non_positive_measures(bad):
+    with pytest.raises(ConfigurationError, match="all cell measures must be positive"):
+        RadialGrid(1, np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5]), np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("grading, kw", GRADINGS)
+def test_measures_past_the_float_range_rejected(grading, kw):
+    # edges^d overflows at r_max = 1e200 in d = 2: the measures would be inf and nan
+    with pytest.raises(ConfigurationError, match="all cell measures must be positive"):
+        make_radial_grid(2, 1e200, 16, grading, **kw)
+
+
 def test_weight_average_singularity_guard():
     g = make_radial_grid(2, 1.0, 8, "uniform")
     with pytest.raises(DomainError):
@@ -257,7 +277,7 @@ def natural_energy(u, p, a):
 def test_dirichlet_constant_is_zero():
     g = make_radial_grid(3, 1.0, 16, "uniform")
     assert natural_energy(GridFunction(g, np.ones(16)), 2.0, 0.0) == 0.0
-    assert weighted_dirichlet(GridFunction(g, np.ones(16)), 2.0, 0.0) > 0.0
+    assert weighted_dirichlet(GridFunction(g, np.ones(16)), 2.0) > 0.0
 
 
 def test_dirichlet_linear_profile_edge_sum():
@@ -279,7 +299,7 @@ def test_dirichlet_quadratic_converges():
     for n in (50, 100, 200, 400):
         g = make_radial_grid(1, 1.0, n, "uniform")
         u = GridFunction(g, 1.0 - g.nodes**2)
-        errors.append(abs(weighted_dirichlet(u, 2.0, 0.0) - 8.0 / 3.0))
+        errors.append(abs(weighted_dirichlet(u, 2.0) - 8.0 / 3.0))
     assert errors[-1] < 1e-4
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
@@ -565,9 +585,9 @@ def test_degenerate_t_grid():
     assert g.shape == (10, 1)
     assert g.t_measures.tolist() == [1.0]
     values = np.exp(-sg.nodes)
-    for energy in (natural_energy, weighted_dirichlet):
-        cyl = energy(GridFunction(g, values[:, None]), 2.0, 1.0)
-        radial = energy(GridFunction(sg, values), 2.0, 1.0)
+    for energy, args in ((natural_energy, (2.0, 1.0)), (weighted_dirichlet, (2.0,))):
+        cyl = energy(GridFunction(g, values[:, None]), *args)
+        radial = energy(GridFunction(sg, values), *args)
         assert cyl == radial
 
 
