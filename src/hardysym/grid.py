@@ -27,6 +27,7 @@ __all__ = [
     "GridFunction",
     "make_radial_grid",
     "radial_grid_from_edges",
+    "rearrangement_starts",
     "as_2d",
     "integrate",
     "DirichletEnergy",
@@ -90,17 +91,35 @@ class RadialGrid:
 
     def weight_average(self, a: float, rows: slice = slice(None)) -> np.ndarray:
         """Exact cell average of r^a against the cell's r^(dim-1) measure,
-        for the cells `rows` only.
+        for the cells `rows` only.  At a = 0 both power integrals are the
+        same finite positive numbers, so the averages are exactly 1.
 
-        Requires a + dim > 0 so the weight is integrable in the origin cell.
+        Requires a + dim > 0 so the weight is integrable in the origin cell,
+        and edges^(a + dim) within the float range: a power past it makes an
+        inf or nan integral, which is refused by name.
         """
-        i0, i1, _ = rows.indices(self.n)
-        if a == 0.0:
-            return np.ones(i1 - i0)
         if a + self.dim <= 0.0:
             raise DomainError(f"weight r^{a} not cell-integrable: a + dim <= 0")
+        i0, i1, _ = rows.indices(self.n)
         edges = self.edges[i0 : i1 + 1]
-        return _power_integral(edges, a + self.dim - 1) / _power_integral(edges, self.dim - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted = _power_integral(edges, a + self.dim - 1)
+        if not np.isfinite(weighted).all():
+            raise DomainError(
+                f"r_max^(a + dim) <= float max violated: the power integral of r^{a + self.dim - 1:g} "
+                f"overflows on cells out to r = {edges[-1]:g}"
+            )
+        return weighted / _power_integral(edges, self.dim - 1)
+
+    @cached_property
+    def rearrangement_starts(self) -> Optional[np.ndarray]:
+        """`rearrangement_starts(cell_measures)`, formed on first use."""
+        return rearrangement_starts(self.cell_measures)
+
+    @cached_property
+    def as_cylinder(self) -> "CylGrid":
+        """The grid as a cylinder with no t-axis, the view `as_2d` returns."""
+        return CylGrid(self)
 
     def descriptor(self) -> dict:
         return {
@@ -110,6 +129,19 @@ class RadialGrid:
             "n": self.n,
             "grading": dict(self.grading),
         }
+
+
+def rearrangement_starts(measures: np.ndarray) -> Optional[np.ndarray]:
+    """The layout of a decreasing rearrangement over cells of these measures,
+    ordered by increasing radius: None when every measure is within 1e-9 of
+    the first, so the rearrangement is the descending sort, and otherwise the
+    cumulative measure below each cell (0 for the first), read-only because a
+    RadialGrid shares it with every caller."""
+    if (np.abs(measures - measures[0]) <= 1e-9 * measures[0]).all():
+        return None
+    starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
+    starts.setflags(write=False)
+    return starts
 
 
 def radial_grid_from_edges(d: int, edges, grading: Optional[dict] = None) -> RadialGrid:
@@ -346,11 +378,12 @@ def integrate(grid, cell_values) -> float:
 def as_2d(u: GridFunction) -> tuple:
     """(values as an (ns, nt) array, CylGrid) for radial or cylindrical input.
 
-    A radial grid is viewed as a cylinder with no t-axis (m = 0).
+    A radial grid is viewed as a cylinder with no t-axis (m = 0): the one
+    `as_cylinder` view the grid keeps.
     """
     if isinstance(u.grid, CylGrid):
         return u.values, u.grid
-    return u.values[:, None], CylGrid(u.grid)
+    return u.values[:, None], u.grid.as_cylinder
 
 
 def sum_over_row_blocks(shape: tuple, block_sum) -> float:

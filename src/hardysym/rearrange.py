@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
 from .functionals import weighted_dirichlet
-from .grid import GridFunction, as_2d, integrate
+from .grid import GridFunction, as_2d, integrate, rearrangement_starts
 
 __all__ = [
     "decreasing_rearrangement_1d",
@@ -37,11 +37,14 @@ __all__ = [
 ]
 
 
-def _rearrange(values: np.ndarray, measures: np.ndarray) -> np.ndarray:
+def _rearrange(values: np.ndarray, measures: np.ndarray, starts) -> np.ndarray:
     """Weighted decreasing rearrangement of every column of `values` along axis 0.
 
     `measures` are the cell measures along axis 0, cells ordered by
-    increasing radius; the caller validates both.  Each column becomes the
+    increasing radius, and `starts` their `grid.rearrangement_starts`
+    layout, None on equal measures; the caller validates all three.  A
+    grid's layout is kept on its RadialGrid, so the Schwarz passes derive
+    it once per grid, not once per call.  Each column becomes the
     nonincreasing assignment whose superlevel sets occupy initial segments
     of matching cumulative measure, up to single-cell granularity; on equal
     measures this is exactly the descending sort.  Ties keep input order.
@@ -60,14 +63,13 @@ def _rearrange(values: np.ndarray, measures: np.ndarray) -> np.ndarray:
     survives its addition to the running total.  The weighted result is
     C-ordered; the sort keeps the input's layout.
     """
-    if (np.abs(measures - measures[0]) <= 1e-9 * measures[0]).all():
+    if starts is None:
         return -np.sort(-values, axis=0)
     if (values[1:] <= values[:-1]).all():
         return np.array(values, order="C")
     n, m = values.shape
     slices = np.ascontiguousarray(values.T)
     order = np.argsort(-slices, axis=1, kind="stable")
-    starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
     first = np.searchsorted(starts, np.cumsum(measures.take(order), axis=1), side="left")
     counts = np.diff(first, axis=1, prepend=0)
     counts[:, -1] += n - first[:, -1]
@@ -94,13 +96,13 @@ def decreasing_rearrangement_1d(values, measures) -> np.ndarray:
         raise DomainError("rearrangement requires nonnegative values")
     if not (np.isfinite(measures) & (measures > 0)).all():
         raise ConfigurationError("cell measures must be finite and positive")
-    return _rearrange(values[:, None], measures)[:, 0]
+    return _rearrange(values[:, None], measures, rearrangement_starts(measures))[:, 0]
 
 
 def schwarz_y(u: GridFunction) -> GridFunction:
     """Slice-wise decreasing rearrangement in |y| for each fixed |z|."""
     values, grid = as_2d(u)
-    out = _rearrange(values, grid.s_grid.cell_measures)
+    out = _rearrange(values, grid.s_grid.cell_measures, grid.s_grid.rearrangement_starts)
     return GridFunction(u.grid, out.reshape(u.values.shape))
 
 
@@ -113,7 +115,7 @@ def schwarz_z(u: GridFunction) -> GridFunction:
     values, grid = as_2d(u)
     if grid.t_grid is None:
         return u
-    out = _rearrange(values.T, grid.t_measures).T
+    out = _rearrange(values.T, grid.t_grid.cell_measures, grid.t_grid.rearrangement_starts).T
     return GridFunction(u.grid, out.reshape(u.values.shape))
 
 

@@ -82,8 +82,8 @@ def eps_family(eps: float, params: Params, grid: RadialGrid) -> GridFunction:
     if grid.r_max < 1.0:
         raise ConfigurationError("grid must contain the unit plateau (r_max >= 1)")
     g = _decay_exponent(params.p, params.alpha, params.N, eps)
-    r = grid.nodes
-    values = np.where(r <= 1.0, 1.0, r ** (-g))
+    # 1^(-g) is exactly 1, and no power of an r < 1 is formed to overflow
+    values = np.maximum(grid.nodes, 1.0) ** (-g)
     return GridFunction(grid, values)
 
 

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hardysym import GridFunction
+from hardysym import GridFunction, convexity_bound, double_star
+from hardysym.cli import _CONVEXITY_BLOCK as B
 from hardysym.cli import DEFAULTS, build_parser, main
 
 SCALAR_SETTINGS = [
@@ -384,6 +386,61 @@ def test_properties_violation_exit_code(tmp_path, monkeypatch):
     assert payload["convexity_violations"] == 10
 
 
+@pytest.mark.parametrize("trials", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_properties_streams_the_one_shot_samples(tmp_path, monkeypatch, trials):
+    # a fake bound that flags s > t counts the samples of the one-shot draw;
+    # the recorder on double_star sees the draw that follows it
+    block_sizes, first_inputs = [], []
+
+    def flag_s_over_t(s, t, lam, p):
+        block_sizes.append(len(s))
+        return s, t
+
+    def recording_double_star(u):
+        first_inputs.append(u.values.copy())
+        return double_star(u)
+
+    monkeypatch.setattr("hardysym.cli.convexity_bound", flag_s_over_t)
+    monkeypatch.setattr("hardysym.cli.double_star", recording_double_star)
+    # the unblocked reference: one (trials, 4) draw, then the draws after it
+    rng = np.random.default_rng(5)
+    samples = rng.uniform(size=(trials, 4))
+    expected = int(np.count_nonzero(10.0 * samples[:, 0] > 10.0 * samples[:, 1] * (1 + 1e-12)))
+    code = run(["properties", "--trials", str(trials), "--seed", "5"], tmp_path)
+    assert code == (3 if expected else 0)
+    assert json.loads((tmp_path / "properties.json").read_text())["convexity_violations"] == expected
+    assert sum(block_sizes) == trials
+    assert all(0 < size <= B for size in block_sizes)
+    if trials:
+        np.testing.assert_array_equal(first_inputs[0], rng.uniform(size=64))
+    else:
+        assert first_inputs == []
+
+
+def test_properties_streaming_keeps_the_real_bound_clean(tmp_path, monkeypatch):
+    block_sizes = []
+
+    def recording_bound(s, t, lam, p):
+        block_sizes.append(len(s))
+        return convexity_bound(s, t, lam, p)
+
+    monkeypatch.setattr("hardysym.cli.convexity_bound", recording_bound)
+    assert run(["properties", "--trials", str(3 * B + 7)], tmp_path) == 0
+    assert block_sizes == [B, B, B, 7]
+
+
+def test_properties_memory_does_not_grow_with_trials(tmp_path):
+    # drawn in one piece, 400 000 samples and their temporaries take about 37 MB
+    run(["properties", "--trials", "1"], tmp_path)  # first-use costs outside the measurement
+    tracemalloc.start()
+    try:
+        assert run(["properties", "--trials", "400000"], tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def _not_equimeasurable(u):
     # the zero function: its own rearrangement, so idempotent
     return GridFunction(u.grid, np.zeros_like(u.values))
@@ -435,6 +492,11 @@ def test_properties_rearrangement_counters_fire(tmp_path, monkeypatch, name, fau
         # not a nan quotient printed or the start called all-zero
         (["symmetrize", "--r-max", "1e200"], "all cell measures must be positive"),
         (["minimize", "--r-max", "1e200"], "all cell measures must be positive"),
+        # on the sweep's grid out to r = 1000 the numerator's weight r^(alpha + p)
+        # overflows from alpha = 98 on: refused, not a csv of nans written
+        (["eps-sweep", "--alpha", "98"], "the power integral of r^102 overflows"),
+        (["eps-sweep", "--alpha", "1e6"], "the power integral of r^1e+06 overflows"),
+        (["eps-sweep", "--alpha", "1e20"], "the power integral of r^1e+20 overflows"),
     ],
 )
 def test_validation_completeness(tmp_path, capsys, args, clause):

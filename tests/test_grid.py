@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -237,6 +238,48 @@ def test_weight_average_singularity_guard():
     # integrable singular weight is fine and exact
     w = g.weight_average(-1.0)
     assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("grading, kw", GRADINGS)
+def test_weight_average_at_zero_is_exactly_one(grading, kw):
+    # each power integral divided by itself: no shortcut is needed for exact ones
+    g = make_radial_grid(3, 2.0, 37, grading, **kw)
+    assert (g.weight_average(0.0) == 1.0).all()
+    assert (g.weight_average(0.0, slice(5, 9)) == 1.0).all()
+
+
+@pytest.mark.parametrize("a", [100.0, 1e6, 1e20, math.inf])
+def test_weight_average_refuses_an_overflowing_power(a):
+    # edges^(a + 3) passes the float range at r = 1000: the averages would be nan
+    g = make_radial_grid(3, 1e3, 64, "split", r_break=1.0)
+    with pytest.raises(DomainError, match="overflows on cells out to r = 1000"):
+        g.weight_average(a)
+    # the inner cells alone stay in range
+    assert np.isfinite(g.weight_average(100.0, slice(0, 32))).all()
+
+
+@pytest.mark.parametrize("grading, kw", GRADINGS)
+def test_radial_grid_keeps_its_rearrangement_layout(grading, kw):
+    g = make_radial_grid(2, 8.0, 16, grading, **kw)
+    starts = grid_module.rearrangement_starts(g.cell_measures)
+    if grading == "equimeasure":
+        assert starts is None and g.rearrangement_starts is None
+    else:
+        expected = np.concatenate(([0.0], np.cumsum(g.cell_measures)[:-1]))
+        np.testing.assert_array_equal(starts, expected)
+        np.testing.assert_array_equal(g.rearrangement_starts, expected)
+        assert g.rearrangement_starts is g.rearrangement_starts
+        assert not g.rearrangement_starts.flags.writeable
+    # as_2d views the grid through one cached cylinder
+    u = GridFunction(g, np.arange(16.0))
+    assert as_2d(u)[1] is as_2d(u)[1] is g.as_cylinder
+    assert as_2d(u)[1] == CylGrid(g)
+    double_star(u)
+    # the kept layout is 1-D arrays, flags and the cylinder view, never a 2-D array
+    kept = {key: value for key, value in vars(g).items() if key not in {f.name for f in dataclasses.fields(g)}}
+    assert set(kept) == {"rearrangement_starts", "as_cylinder"}
+    assert kept["rearrangement_starts"] is None or kept["rearrangement_starts"].ndim == 1
+    assert vars(kept["as_cylinder"]) == {"s_grid": g, "t_grid": None}
 
 
 @pytest.mark.parametrize("a", [0.0, -1.0, 1.5])
