@@ -51,7 +51,6 @@ from .minimizer import (
 )
 from .rearrange import (
     PolyaSzegoReport,
-    decreasing_rearrangement_1d,
     double_star,
     hardy_littlewood_check,
     is_double_star_fixed,

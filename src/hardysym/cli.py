@@ -161,7 +161,7 @@ def cmd_constant(cfg: dict) -> int:
     value = hardy_constant(cfg["p"], cfg["alpha"], cfg["k"])
     out = _out_dir(cfg)
     row = {"p": float(cfg["p"]), "alpha": float(cfg["alpha"]), "k": int(cfg["k"]), "constant": value}
-    _write_artifact(out, "constant", cfg["format"], ["p", "alpha", "k", "constant"], [row], row)
+    _write_artifact(out, "constant", cfg["format"], list(row), [row], row)
     print(f"{value:.17g}")
     return 0
 
@@ -180,17 +180,7 @@ def cmd_eps_sweep(cfg: dict) -> int:
     ladder = cfg.get("eps_ladder")
     rows = eps_sweep(params) if ladder is None else eps_sweep(params, eps_values=ladder)
     out = _out_dir(cfg)
-    header = [
-        "eps",
-        "numerator",
-        "denominator",
-        "quotient",
-        "closed_form",
-        "rel_err",
-        "tail_correction_num",
-        "tail_correction_den",
-    ]
-    _write_artifact(out, "eps_sweep", cfg["format"], header, rows, {"rows": rows})
+    _write_artifact(out, "eps_sweep", cfg["format"], list(rows[0]), rows, {"rows": rows})
     for row in rows:
         _summary(f"eps={row['eps']:g}", row["closed_form"], row["quotient"])
     _summary("eps-sweep limit", limit, rows[-1]["quotient"])
@@ -211,8 +201,7 @@ def cmd_product_sweep(cfg: dict) -> int:
         log_r_max=cfg["log_r_max"],
     )
     out = _out_dir(cfg)
-    header = ["eps", "lambda", "numerator", "denominator", "quotient", "target", "rel_gap"]
-    _write_artifact(out, "product_sweep", cfg["format"], header, rows, {"rows": rows})
+    _write_artifact(out, "product_sweep", cfg["format"], list(rows[0]), rows, {"rows": rows})
     best = min(rows, key=lambda r: r["quotient"])
     _summary("product-sweep", best["target"], best["quotient"])
     return 0

@@ -27,7 +27,6 @@ __all__ = [
     "GridFunction",
     "make_radial_grid",
     "radial_grid_from_edges",
-    "rearrangement_starts",
     "as_2d",
     "integrate",
     "DirichletEnergy",
@@ -113,8 +112,17 @@ class RadialGrid:
 
     @cached_property
     def rearrangement_starts(self) -> Optional[np.ndarray]:
-        """`rearrangement_starts(cell_measures)`, formed on first use."""
-        return rearrangement_starts(self.cell_measures)
+        """The layout of a decreasing rearrangement over the cells, formed on
+        first use: None when every cell measure is within 1e-9 of the first,
+        so the rearrangement is the descending sort, and otherwise the
+        cumulative measure below each cell (0 for the first), read-only
+        because the grid shares it with every caller."""
+        measures = self.cell_measures
+        if (np.abs(measures - measures[0]) <= 1e-9 * measures[0]).all():
+            return None
+        starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
+        starts.setflags(write=False)
+        return starts
 
     @cached_property
     def as_cylinder(self) -> "CylGrid":
@@ -131,26 +139,13 @@ class RadialGrid:
         }
 
 
-def rearrangement_starts(measures: np.ndarray) -> Optional[np.ndarray]:
-    """The layout of a decreasing rearrangement over cells of these measures,
-    ordered by increasing radius: None when every measure is within 1e-9 of
-    the first, so the rearrangement is the descending sort, and otherwise the
-    cumulative measure below each cell (0 for the first), read-only because a
-    RadialGrid shares it with every caller."""
-    if (np.abs(measures - measures[0]) <= 1e-9 * measures[0]).all():
-        return None
-    starts = np.concatenate(([0.0], np.cumsum(measures)[:-1]))
-    starts.setflags(write=False)
-    return starts
-
-
 def radial_grid_from_edges(d: int, edges, grading: Optional[dict] = None) -> RadialGrid:
     """Build a RadialGrid from explicit cell edges (edges[0] must be 0)."""
     edges = np.asarray(edges, dtype=float)
-    if edges[0] != 0.0:
-        raise ConfigurationError("radial grid edges must start at 0")
     if len(edges) < 2:
         raise ConfigurationError("need at least one cell")
+    if edges[0] != 0.0:
+        raise ConfigurationError("radial grid edges must start at 0")
     nodes = 0.5 * (edges[:-1] + edges[1:])
     # differences of the rounded powers edges^d: merging two cells keeps
     # their summed measure only to rounding, a few ulps, not exactly.  A

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
@@ -77,19 +77,8 @@ class MinimizationTrace:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 3,
-            "energies": self.energies,
-            "constraints": self.constraints,
-            "quotients": self.quotients,
-            "step_sizes": self.step_sizes,
-            "residuals": self.residuals,
-            "symmetry_deviation": self.symmetry_deviation,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "delta_reg": self.delta_reg,
-            "meta": self.meta,
-        }
+        """Every field but final_u, under schema version 3."""
+        return {"schema_version": 3, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_u"}}
 
 
 def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFunction:
@@ -378,9 +367,11 @@ def hardy_endpoint_sweep(
     z-profile is product_family's bump, and the energy hs_quotient's, with
     the wall at r_max on both radii.  A ConfigurationError names
     an n_s below 2, an n_t below 1 or too coarse to sample the narrowest bump, a
-    log_r_max <= 0 (the plateau family needs r_max > 1), and a log_r_max or
-    a ladder whose grid volume, of order
-    r_max^k (1.05 lambda_max)^m, overflows float64.
+    log_r_max <= 0 (the plateau family needs r_max > 1), a ladder entry that
+    is not positive and finite, and a log_r_max or a ladder whose grid
+    volume, of order r_max^k (1.05 lambda_max)^m, overflows float64.  A
+    DomainError names, by (eps, lambda), a rung whose numerator, denominator
+    or quotient is not a finite positive float.
 
     At p = 2 each rung comes from 1-D factors on the two radii
     (_product_integrals), so the sweep forms no (n_s, n_t) array.  At p != 2
@@ -421,8 +412,8 @@ def hardy_endpoint_sweep(
         ]
     if len(ladder) == 0:
         raise ConfigurationError("ladder must be non-empty")
-    if min(min(pair) for pair in ladder) <= 0:
-        raise ConfigurationError(f"ladder (eps, lambda) pairs must be positive, got {ladder}")
+    if not all(0.0 < x < math.inf for pair in ladder for x in pair):
+        raise ConfigurationError(f"ladder (eps, lambda) pairs must be positive and finite, got {ladder}")
     lam_max = max(lam for _, lam in ladder)
     log_lam_limit = (LOG_FLOAT_MAX - log_sigma - k * log_r_max) / m
     if not math.log(lam_max) < log_lam_limit:
@@ -444,13 +435,20 @@ def hardy_endpoint_sweep(
     rows = []
     for eps, lam in ladder:
         v = eps_family_truncated(eps, p, s_grid)
-        if p == 2.0:
-            numerator, constraint = _product_integrals(v, lam, grid, -params.beta)
-            denominator = constraint ** (p / params.q)
-            quotient = numerator / denominator
-        else:
-            rep = hs_quotient(product_family(v, lam, grid), params)
-            numerator, denominator, quotient = rep.numerator, rep.denominator, rep.value
+        # a rung past the float range is refused by name below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            if p == 2.0:
+                numerator, constraint = _product_integrals(v, lam, grid, -params.beta)
+                denominator = constraint ** (p / params.q)
+                quotient = numerator / denominator
+            else:
+                rep = hs_quotient(product_family(v, lam, grid), params)
+                numerator, denominator, quotient = rep.numerator, rep.denominator, rep.value
+        if not all(0.0 < x < math.inf for x in (numerator, denominator, quotient)):
+            raise DomainError(
+                f"finite positive quotient violated at ladder rung (eps, lambda) = ({eps:g}, {lam:g}): "
+                f"numerator {numerator:g}, denominator {denominator:g}, quotient {quotient:g}"
+            )
         rows.append(
             {
                 "eps": eps,

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UsageError
+from .errors import UsageError
 from .functionals import weighted_dirichlet
-from .grid import GridFunction, as_2d, integrate, rearrangement_starts
+from .grid import GridFunction, RadialGrid, as_2d, integrate
 
 __all__ = [
-    "decreasing_rearrangement_1d",
     "schwarz_y",
     "schwarz_z",
     "double_star",
@@ -37,14 +36,12 @@ __all__ = [
 ]
 
 
-def _rearrange(values: np.ndarray, measures: np.ndarray, starts) -> np.ndarray:
-    """Weighted decreasing rearrangement of every column of `values` along axis 0.
+def _rearrange(values: np.ndarray, radial: RadialGrid) -> np.ndarray:
+    """Weighted decreasing rearrangement of every column of `values` along
+    axis 0, whose cells are those of `radial`, ordered by increasing radius.
 
-    `measures` are the cell measures along axis 0, cells ordered by
-    increasing radius, and `starts` their `grid.rearrangement_starts`
-    layout, None on equal measures; the caller validates all three.  A
-    grid's layout is kept on its RadialGrid, so the Schwarz passes derive
-    it once per grid, not once per call.  Each column becomes the
+    The layout is the grid's: its `cell_measures` and its cached
+    `rearrangement_starts`, None on equal measures.  Each column becomes the
     nonincreasing assignment whose superlevel sets occupy initial segments
     of matching cumulative measure, up to single-cell granularity; on equal
     measures this is exactly the descending sort.  Ties keep input order.
@@ -63,6 +60,7 @@ def _rearrange(values: np.ndarray, measures: np.ndarray, starts) -> np.ndarray:
     survives its addition to the running total.  The weighted result is
     C-ordered; the sort keeps the input's layout.
     """
+    starts = radial.rearrangement_starts
     if starts is None:
         return -np.sort(-values, axis=0)
     if (values[1:] <= values[:-1]).all():
@@ -70,7 +68,7 @@ def _rearrange(values: np.ndarray, measures: np.ndarray, starts) -> np.ndarray:
     n, m = values.shape
     slices = np.ascontiguousarray(values.T)
     order = np.argsort(-slices, axis=1, kind="stable")
-    first = np.searchsorted(starts, np.cumsum(measures.take(order), axis=1), side="left")
+    first = np.searchsorted(starts, np.cumsum(radial.cell_measures.take(order), axis=1), side="left")
     counts = np.diff(first, axis=1, prepend=0)
     counts[:, -1] += n - first[:, -1]
     order += np.arange(0, m * n, n)[:, None]  # flat indices into slices
@@ -78,31 +76,10 @@ def _rearrange(values: np.ndarray, measures: np.ndarray, starts) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(m, n).T)
 
 
-def decreasing_rearrangement_1d(values, measures) -> np.ndarray:
-    """Weighted decreasing rearrangement of cell values along one radius,
-    cells ordered by increasing radius (see `_rearrange`).
-
-    Values must be finite and nonnegative, measures finite and positive, and
-    both nonempty of one length.  The result never shares memory with
-    `values`.
-    """
-    values = np.asarray(values, dtype=float)
-    measures = np.asarray(measures, dtype=float)
-    if values.ndim != 1 or values.shape != measures.shape or values.size == 0:
-        raise UsageError("values and measures must be nonempty and of matching length")
-    if not np.isfinite(values).all():
-        raise DomainError("rearrangement requires finite values")
-    if (values < 0).any():
-        raise DomainError("rearrangement requires nonnegative values")
-    if not (np.isfinite(measures) & (measures > 0)).all():
-        raise ConfigurationError("cell measures must be finite and positive")
-    return _rearrange(values[:, None], measures, rearrangement_starts(measures))[:, 0]
-
-
 def schwarz_y(u: GridFunction) -> GridFunction:
     """Slice-wise decreasing rearrangement in |y| for each fixed |z|."""
     values, grid = as_2d(u)
-    out = _rearrange(values, grid.s_grid.cell_measures, grid.s_grid.rearrangement_starts)
+    out = _rearrange(values, grid.s_grid)
     return GridFunction(u.grid, out.reshape(u.values.shape))
 
 
@@ -115,7 +92,7 @@ def schwarz_z(u: GridFunction) -> GridFunction:
     values, grid = as_2d(u)
     if grid.t_grid is None:
         return u
-    out = _rearrange(values.T, grid.t_grid.cell_measures, grid.t_grid.rearrangement_starts).T
+    out = _rearrange(values.T, grid.t_grid).T
     return GridFunction(u.grid, out.reshape(u.values.shape))
 
 

@@ -77,6 +77,8 @@ def eps_family(eps: float, params: Params, grid: RadialGrid) -> GridFunction:
     """
     if eps <= 0:
         raise DomainError("eps > 0 required (decay otherwise non-integrable)")
+    if not math.isfinite(eps):
+        raise DomainError("eps finite required")
     if params.k != params.N:
         raise DomainError("eps_family is the radial (k = N) construction")
     if grid.r_max < 1.0:
@@ -96,6 +98,8 @@ def eps_family_truncated(eps: float, p: float, grid: RadialGrid) -> GridFunction
     """
     if eps <= 0:
         raise DomainError("eps > 0 required")
+    if not math.isfinite(eps):
+        raise DomainError("eps finite required")
     if grid.r_max <= 1.0:
         raise ConfigurationError("r_max > 1 required")
     g = _decay_exponent(p, -p, grid.dim, eps)
@@ -118,6 +122,8 @@ def eps_quotient_closed_form(eps: float, p: float, alpha: float, N: int) -> floa
         raise DomainError("alpha + N > 0 violated")
     if eps <= 0:
         raise DomainError("eps > 0 required")
+    if not math.isfinite(eps):
+        raise DomainError("eps finite required")
     g = (alpha + N) / p + eps
     return g**p * (alpha + N) / (alpha + N + p * eps)
 
@@ -134,7 +140,8 @@ def tail_correction(tail: PowerTail, grid: RadialGrid, p: float, a: float) -> fl
     """Closed-form integral of |tail|^p r^a over (r_max, infinity) in R^dim.
 
     Added by callers to grid quadrature of functionals of power-decay
-    families.  Raises if the remainder integral diverges.
+    families.  Raises if the remainder integral diverges, or if it is not a
+    finite float (|amplitude|^p past the float range).
     """
     if tail.amplitude == 0.0:
         return 0.0
@@ -143,7 +150,16 @@ def tail_correction(tail: PowerTail, grid: RadialGrid, p: float, a: float) -> fl
         raise DomainError(
             f"tail integral diverges (combined exponent {e} >= 0); need faster decay"
         )
-    return sphere_area(grid.dim) * abs(tail.amplitude) ** p * grid.r_max**e / (-e)
+    try:
+        value = sphere_area(grid.dim) * abs(tail.amplitude) ** p * grid.r_max**e / (-e)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"tail integral <= float max violated: the integral of |{tail.amplitude:g} r^{tail.exponent:g}|^{p:g} "
+            f"r^{a:g} past r = {grid.r_max:g} overflows"
+        )
+    return value
 
 
 def eps_sweep(

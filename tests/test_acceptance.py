@@ -13,7 +13,6 @@ from hardysym import (
     GridFunction,
     Params,
     convexity_bound,
-    decreasing_rearrangement_1d,
     dirichlet_eigenvalue_interval,
     double_star,
     eps_sweep,

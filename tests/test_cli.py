@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -313,6 +314,30 @@ def test_ladder_overflowing_the_t_grid_rejected(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.split()[1] == "ladder"
     assert not list(tmp_path.glob("product_sweep.*"))
+
+
+@pytest.mark.parametrize(
+    "command, config, clause",
+    [
+        # eps = inf wrote a csv of nans, and eps = 1e200 overflowed in the tail integral
+        ("eps-sweep", {"eps_ladder": [math.inf]}, "eps finite"),
+        ("eps-sweep", {"eps_ladder": [math.nan]}, "eps finite"),
+        ("eps-sweep", {"eps_ladder": [1e200]}, "tail integral <= float max violated"),
+        # lambda = 1e-150 wrote a row with quotient = inf, and eps = inf ran a rung
+        ("product-sweep", {"ladder": [[0.1, 1e-150]]}, "finite positive quotient violated at ladder rung (eps, lambda) = (0.1, 1e-150)"),
+        ("product-sweep", {"ladder": [[math.inf, 1.0]]}, "pairs must be positive and finite"),
+        ("product-sweep", {"ladder": [[0.1, math.nan]]}, "pairs must be positive and finite"),
+    ],
+)
+def test_ladder_rungs_that_are_not_numbers_rejected(tmp_path, capsys, command, config, clause):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run([command, "--config", str(cfg)], out)
+    assert code == 2
+    assert clause in capsys.readouterr().err
+    assert not list(out.iterdir())  # rejected before any artifact is written
 
 
 def test_config_int_accepted_for_float_key(tmp_path, capsys):

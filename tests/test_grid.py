@@ -218,6 +218,13 @@ def test_radial_grid_rejects_no_cells():
         RadialGrid(1, np.array([0.0]), np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize("edges", [[], [0.0], [1.0]])
+def test_radial_grid_from_edges_rejects_no_cells(edges):
+    # the length is checked before edges[0] is read, so no edges is no IndexError
+    with pytest.raises(ConfigurationError, match="need at least one cell"):
+        radial_grid_from_edges(2, edges)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_radial_grid_rejects_non_finite_or_non_positive_measures(bad):
     with pytest.raises(ConfigurationError, match="all cell measures must be positive"):
@@ -261,7 +268,7 @@ def test_weight_average_refuses_an_overflowing_power(a):
 @pytest.mark.parametrize("grading, kw", GRADINGS)
 def test_radial_grid_keeps_its_rearrangement_layout(grading, kw):
     g = make_radial_grid(2, 8.0, 16, grading, **kw)
-    starts = grid_module.rearrangement_starts(g.cell_measures)
+    starts = g.rearrangement_starts
     if grading == "equimeasure":
         assert starts is None and g.rearrangement_starts is None
     else:

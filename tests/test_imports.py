@@ -10,7 +10,9 @@ have power tails past r_max, builds a `DirichletEnergy` with the natural
 outer end: every other energy has the Dirichlet wall.  `minimizer`
 evaluates its `DirichletEnergy` only through `energy_and_gradient`, one
 pass per candidate; of the other methods it calls only `edge_weights`,
-which states the metric.  A guard keeps
+which states the metric.  No function in `rearrange` takes cell
+`measures` or a `starts` layout: each pass takes both from its RadialGrid,
+the one place a rearrangement's layout is formed.  A guard keeps
 scipy out of `import hardysym`, of every default subcommand and of a radial
 (k = N) minimization: scipy is a test dependency only.  A last guard keeps
 `import hardysym.cli` from building the argument parser, whose cost would
@@ -179,6 +181,35 @@ def test_minimizer_evaluates_the_energy_only_through_energy_and_gradient():
     source = (PACKAGE / "minimizer.py").read_text()
     assert second_dirichlet_evaluations(source, dirichlet_methods()) == []
     assert "energy_and_gradient" in {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def layout_parameters(source: str) -> list:
+    """The functions in `source` that take a parameter named `measures` or
+    `starts`, as "function(parameter)", in order of appearance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            found += [f"{node.name}({a.arg})" for a in params if a is not None and a.arg in ("measures", "starts")]
+    return found
+
+
+def test_guard_finds_a_layout_parameter():
+    source = (
+        "def _rearrange(values, measures, starts):\n    pass\n\n\n"
+        "def decreasing_rearrangement_1d(values, *, measures=None):\n    pass\n\n\n"
+        "def schwarz_y(u):\n    measures = u.grid.s_grid.cell_measures\n"
+    )
+    assert layout_parameters(source) == [
+        "_rearrange(measures)",
+        "_rearrange(starts)",
+        "decreasing_rearrangement_1d(measures)",
+    ]
+
+
+def test_rearrange_takes_its_layout_from_the_radial_grid():
+    assert layout_parameters((PACKAGE / "rearrange.py").read_text()) == []
 
 
 SCIPY_GUARD = """

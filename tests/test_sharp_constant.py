@@ -17,6 +17,7 @@ from hardysym import (
     convexity_bound,
     dirichlet_eigenvalue_interval,
     eps_family,
+    eps_family_truncated,
     eps_quotient_closed_form,
     eps_sweep,
     hardy_constant,
@@ -121,6 +122,26 @@ def test_tail_correction_examples():
     val = tail_correction(PowerTail(1.0, -2.0), g, 2.0, 0.0)
     assert val == pytest.approx(4 * math.pi / 10.0, rel=1e-12)
     assert tail_correction(PowerTail(0.0, -2.0), g, 1.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("amplitude", [1e160, 1e200, math.inf])
+def test_tail_correction_refuses_an_overflowing_integral(amplitude):
+    # |amplitude|^2 passes the float range: an OverflowError or inf before
+    g = make_radial_grid(3, 10.0, 16, "uniform")
+    with pytest.raises(DomainError, match="tail integral <= float max violated"):
+        tail_correction(PowerTail(amplitude, -2.0), g, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_eps_families_refuse_a_non_finite_eps(eps):
+    params = Params.hardy(N=3, k=3, p=2.0, alpha=0.0)
+    grid = make_radial_grid(3, 10.0, 16, "uniform")
+    with pytest.raises(DomainError, match="eps finite"):
+        eps_family(eps, params, grid)
+    with pytest.raises(DomainError, match="eps finite"):
+        eps_family_truncated(eps, 2.0, grid)
+    with pytest.raises(DomainError, match="eps finite"):
+        eps_quotient_closed_form(eps, 2.0, 0.0, 3)
 
 
 def test_convexity_bound_basic():
