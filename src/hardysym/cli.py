@@ -190,12 +190,8 @@ def cmd_eps_sweep(cfg: dict) -> int:
 def cmd_product_sweep(cfg: dict) -> int:
     """Endpoint (beta=p) product-family ladder; CSV columns eps, lambda,
     numerator, denominator, quotient, target, rel_gap."""
-    params = Params.hardy_sobolev(
-        N=cfg["N"], k=cfg["k"], p=cfg["p"], beta=cfg["beta"]
-    )
     rows = hardy_endpoint_sweep(
-        params,
-        cfg.get("ladder"),
+        cfg["N"], cfg["k"], cfg["p"], cfg.get("ladder"),
         n_s=_refined(cfg["n_s"], cfg),
         n_t=_refined(cfg["n_t"], cfg),
         log_r_max=cfg["log_r_max"],
@@ -320,7 +316,7 @@ DEFAULTS = {
     "constant": {"p": 2.0, "alpha": 0.0, "k": 3, "format": "csv", "out": "."},
     "eps-sweep": {"N": 3, "p": 2.0, "alpha": 0.0, "eps_ladder": None, "format": "csv", "out": "."},
     "product-sweep": {
-        "N": 4, "k": 3, "p": 2.0, "beta": 2.0, "ladder": None,
+        "N": 4, "k": 3, "p": 2.0, "ladder": None,
         "n_s": 4096, "n_t": 512, "log_r_max": 100.0,
         "format": "csv", "out": ".", "refine": 0,
     },

@@ -103,7 +103,6 @@ def default_init(grid: CylGrid, kind: str = "bump", seed: int = 0) -> GridFuncti
         values = bump * np.clip(1.0 + pert, 0.1, None)
     else:
         raise UsageError(f"unknown initializer {kind!r}")
-    values = values.copy()
     values[-1, :] = 0.0
     if grid.m >= 1:
         values[:, -1] = 0.0
@@ -162,8 +161,6 @@ def _lbfgs_direction(g, Kg, pairs, gamma, scratch):
     alpha_i K^-1 y_i by linearity, so a direction costs no K-solve.  Each
     update runs in place, its product formed in `scratch`, an array of g's
     shape whose contents are overwritten."""
-    if not pairs:
-        return -gamma * Kg
     q, r = g.copy(), Kg.copy()
     alphas = []
     for s, y, Ky, rho in reversed(pairs):
@@ -350,14 +347,17 @@ def symmetrize_and_compare(u: GridFunction, params: Params) -> dict:
 
 
 def hardy_endpoint_sweep(
-    params: Params,
+    N: int,
+    k: int,
+    p: float,
     ladder: Optional[Sequence] = None,
     *,
     n_s: int = 4096,
     n_t: int = 512,
     log_r_max: float = 100.0,
 ) -> list:
-    """Quotient ladder at the Hardy endpoint beta = p (so q = p).
+    """Quotient ladder of Params.hardy_sobolev(N=N, k=k, p=p, beta=p), the
+    Hardy endpoint beta = q = p.
 
     Along the product family (truncated plateau family in y, spreading bump
     in z) the quotient decreases monotonically toward ((k - p)/p)^p.  The
@@ -370,19 +370,19 @@ def hardy_endpoint_sweep(
     log_r_max <= 0 (the plateau family needs r_max > 1), a ladder entry that
     is not positive and finite, and a log_r_max or a ladder whose grid
     volume, of order r_max^k (1.05 lambda_max)^m, overflows float64.  A
-    DomainError names, by (eps, lambda), a rung whose numerator, denominator
-    or quotient is not a finite positive float.
+    DomainError names a p >= k (ahead of Params' clauses), a k = N, and, by
+    (eps, lambda), a rung whose numerator, denominator or quotient is not a
+    finite positive float.
 
     At p = 2 each rung comes from 1-D factors on the two radii
     (_product_integrals), so the sweep forms no (n_s, n_t) array.  At p != 2
     the energy does not separate: each rung is hs_quotient of product_family,
     released before the next rung is built.
     """
-    if params.beta is None or abs(params.beta - params.p) > 1e-12:
-        raise DomainError("endpoint sweep requires beta = p (so q = p)")
-    if params.p >= params.k:
+    if p >= k:
         raise DomainError("p < k required: the endpoint constant degenerates otherwise")
-    k, m, p = params.k, params.m, params.p
+    params = Params.hardy_sobolev(N=N, k=k, p=p, beta=p)
+    m = params.m
     if m < 1:
         raise DomainError("endpoint sweep needs m = N - k >= 1")
     if n_s < 2:
@@ -394,10 +394,10 @@ def hardy_endpoint_sweep(
     # the measure sums reach the volume of the R x 1.05 lambda_max cylinder,
     # sigma_k/k R^k sigma_m/m (1.05 lambda_max)^m; the default ladder has lambda_max = R
     log_sigma = math.log(sphere_area(k) / k * sphere_area(m) / m * 1.05**m)
-    log_r_limit = (LOG_FLOAT_MAX - log_sigma) / params.N
+    log_r_limit = (LOG_FLOAT_MAX - log_sigma) / N
     if not log_r_max < log_r_limit:
         raise ConfigurationError(
-            f"log_r_max must be < {log_r_limit:.6g} for N = {params.N} (the grid's volume overflows), got {log_r_max}"
+            f"log_r_max must be < {log_r_limit:.6g} for N = {N} (the grid's volume overflows), got {log_r_max}"
         )
     R = math.exp(log_r_max)
     target = ((k - p) / p) ** p
@@ -418,7 +418,7 @@ def hardy_endpoint_sweep(
     log_lam_limit = (LOG_FLOAT_MAX - log_sigma - k * log_r_max) / m
     if not math.log(lam_max) < log_lam_limit:
         raise ConfigurationError(
-            f"ladder lambdas must have log(lambda) < {log_lam_limit:.6g} for N = {params.N} and "
+            f"ladder lambdas must have log(lambda) < {log_lam_limit:.6g} for N = {N} and "
             f"log_r_max = {log_r_max} (the grid's volume overflows), got lambda = {lam_max:g}"
         )
     s_grid = make_radial_grid(k, R, n_s, "geometric", first_width=1e-3)

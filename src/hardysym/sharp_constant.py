@@ -90,23 +90,18 @@ def eps_family(eps: float, params: Params, grid: RadialGrid) -> GridFunction:
 
 
 def eps_family_truncated(eps: float, p: float, grid: RadialGrid) -> GridFunction:
-    """Compactly supported variant at the Hardy endpoint alpha = -p: 1 on
-    r <= 1, r^(-(dim - p)/p - eps) outside, shifted down to hit 0 at r_max.
+    """Compactly supported variant at the Hardy endpoint: eps_family at
+    alpha = -p on R^dim, shifted down by its value r_max^(-g) at r_max and
+    clipped at 0.  Params.hardy's "alpha + k > 0" refuses a p >= dim.
 
     Keeps the gradient of the decay piece unchanged while making the function
     admissible on the truncated domain.
     """
-    if eps <= 0:
-        raise DomainError("eps > 0 required")
-    if not math.isfinite(eps):
-        raise DomainError("eps finite required")
     if grid.r_max <= 1.0:
         raise ConfigurationError("r_max > 1 required")
+    u = eps_family(eps, Params.hardy(N=grid.dim, k=grid.dim, p=p, alpha=-p), grid)
     g = _decay_exponent(p, -p, grid.dim, eps)
-    c = grid.r_max ** (-g)
-    r = grid.nodes
-    values = np.clip(np.minimum(1.0, r ** (-g)) - c, 0.0, None)
-    return GridFunction(grid, values)
+    return GridFunction(grid, np.clip(u.values - grid.r_max ** (-g), 0.0, None))
 
 
 def eps_quotient_closed_form(eps: float, p: float, alpha: float, N: int) -> float:
@@ -114,18 +109,22 @@ def eps_quotient_closed_form(eps: float, p: float, alpha: float, N: int) -> floa
 
     Q(eps) = ((alpha+N)/p + eps)^p * (alpha+N) / (alpha+N + p*eps), obtained by
     exact radial integration of the two pieces; Q decreases to ((alpha+N)/p)^p
-    as eps -> 0 and is strictly increasing in eps.
+    as eps -> 0 and is strictly increasing in eps.  Params.hardy checks (N,
+    p, alpha) at k = N, and a Q(eps) out of the float range is refused.
     """
-    if p <= 1:
-        raise DomainError("p > 1 violated")
-    if alpha + N <= 0:
-        raise DomainError("alpha + N > 0 violated")
+    Params.hardy(N=N, k=N, p=p, alpha=alpha)
     if eps <= 0:
         raise DomainError("eps > 0 required")
     if not math.isfinite(eps):
         raise DomainError("eps finite required")
     g = (alpha + N) / p + eps
-    return g**p * (alpha + N) / (alpha + N + p * eps)
+    try:
+        value = g**p * (alpha + N) / (alpha + N + p * eps)
+    except OverflowError:
+        value = math.inf  # g**p past the float range
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"0 < Q(eps) <= float max violated: Q({eps:g}) at p = {p:g}, alpha = {alpha:g} is {value:g}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def test_acceptance_2_radial_family_sharpness():
 
 
 def test_acceptance_3_cylindrical_sharpness():
-    rows = hardy_endpoint_sweep(Params.hardy_sobolev(N=4, k=3, p=2, beta=2))
+    rows = hardy_endpoint_sweep(4, 3, 2)
     quotients = [r["quotient"] for r in rows]
     monotone = all(a > b for a, b in zip(quotients, quotients[1:]))
     best_gap = min(r["rel_gap"] for r in rows)

@@ -178,6 +178,7 @@ def test_minimize_summary_and_trace_schema(tmp_path, capsys):
         ["minimize", "--format", "csv"],
         ["properties", "--format", "csv"],
         ["properties", "--refine", "1"],
+        ["product-sweep", "--beta", "2"],  # the sweep derives beta = p
     ],
 )
 def test_unused_flag_rejected(tmp_path, capsys, args):
@@ -188,12 +189,19 @@ def test_unused_flag_rejected(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
-    "command, key",
-    [("constant", "refine"), ("properties", "format"), ("minimize", "max_iters"), ("split-demo", "p")],
+    "command, key, value",
+    [
+        ("constant", "refine", 1),
+        ("properties", "format", 1),
+        ("minimize", "max_iters", 1),
+        ("split-demo", "p", 1),
+        ("product-sweep", "beta", 2.0),  # the sweep derives beta = p
+    ],
+    ids=["constant-refine", "properties-format", "minimize-max_iters", "split-demo-p", "product-sweep-beta"],
 )
-def test_unknown_config_key_rejected(tmp_path, capsys, command, key):
+def test_unknown_config_key_rejected(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1}))
+    cfg.write_text(json.dumps({key: value}))
     code = run([command, "--config", str(cfg)], tmp_path)
     assert code == 2
     assert key in capsys.readouterr().err
@@ -533,7 +541,7 @@ def test_validation_completeness(tmp_path, capsys, args, clause):
 
 def test_product_sweep_off_p_2_deterministic_and_decreasing(tmp_path):
     # at p != 2 each rung is hs_quotient of the 2-D product family
-    args = ["product-sweep", "--N", "4", "--k", "3", "--p", "2.5", "--beta", "2.5", "--n-s", "256", "--n-t", "64"]
+    args = ["product-sweep", "--N", "4", "--k", "3", "--p", "2.5", "--n-s", "256", "--n-t", "64"]
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name

@@ -518,8 +518,7 @@ def test_symmetrize_and_compare_zero_input():
 
 
 def test_endpoint_sweep_monotone_toward_target():
-    params = Params.hardy_sobolev(N=4, k=3, p=2, beta=2)
-    rows = hardy_endpoint_sweep(params, n_s=1024, n_t=256)
+    rows = hardy_endpoint_sweep(4, 3, 2, n_s=1024, n_t=256)
     quotients = [r["quotient"] for r in rows]
     assert all(a > b for a, b in zip(quotients, quotients[1:]))
     assert rows[-1]["target"] == pytest.approx(0.25)
@@ -530,11 +529,10 @@ def test_endpoint_sweep_monotone_toward_target():
 def test_endpoint_sweep_holds_one_rung_at_a_time(p):
     # a rung is one n_s x n_t float64 product function; the energy's row
     # blocks add a few 512 KB arrays, a second rung alive would add 8 MB
-    params = Params.hardy_sobolev(N=4, k=3, p=p, beta=p)
     n_s, n_t = 2048, 512
     tracemalloc.start()
     try:
-        rows = hardy_endpoint_sweep(params, n_s=n_s, n_t=n_t)
+        rows = hardy_endpoint_sweep(4, 3, p, n_s=n_s, n_t=n_t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -547,8 +545,9 @@ def test_endpoint_sweep_holds_one_rung_at_a_time(p):
 
 
 def test_endpoint_sweep_validation():
-    with pytest.raises(DomainError):
-        hardy_endpoint_sweep(Params.hardy_sobolev(N=4, k=2, p=2, beta=1))
     # p >= k degenerates the endpoint constant
-    with pytest.raises(DomainError):
-        hardy_endpoint_sweep(Params.hardy_sobolev(N=8, k=2, p=2, beta=2))
+    with pytest.raises(DomainError, match="p < k required"):
+        hardy_endpoint_sweep(8, 2, 2)
+    # k = N leaves no z-direction for the bump to spread in
+    with pytest.raises(DomainError, match="m = N - k >= 1"):
+        hardy_endpoint_sweep(3, 3, 2)

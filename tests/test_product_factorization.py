@@ -52,7 +52,7 @@ def reference_sweep_rows(params, rows, n_s, n_t, log_r_max=100.0):
 def test_endpoint_sweep_at_p_2_matches_the_2d_product(ladder):
     params = Params.hardy_sobolev(N=4, k=3, p=2, beta=2)
     n_s, n_t = 512, 128
-    rows = hardy_endpoint_sweep(params, ladder, n_s=n_s, n_t=n_t)
+    rows = hardy_endpoint_sweep(params.N, params.k, params.p, ladder, n_s=n_s, n_t=n_t)
     assert len(rows) == (5 if ladder is None else len(ladder))
     for row, (num, den, quotient) in zip(rows, reference_sweep_rows(params, rows, n_s, n_t)):
         assert_rel(row["numerator"], num)
@@ -72,7 +72,7 @@ def test_endpoint_sweep_at_p_not_2_builds_the_product(monkeypatch):
         return product_family(v, lambda_scale, grid)
 
     monkeypatch.setattr(hardysym.minimizer, "product_family", counting_product_family)
-    rows = hardy_endpoint_sweep(params, n_s=n_s, n_t=n_t)
+    rows = hardy_endpoint_sweep(params.N, params.k, params.p, n_s=n_s, n_t=n_t)
     assert len(rows) == 5
     assert built == [row["lambda"] for row in rows]
     reference = reference_sweep_rows(params, rows, n_s, n_t)
@@ -157,8 +157,7 @@ def closed_form_rung(eps, lam, log_r_max=100.0):
 
 @pytest.mark.parametrize("n_s, n_t, gate", [(4096, 512, 1e-3), (16384, 2048, 2e-4)])
 def test_endpoint_sweep_rungs_match_their_closed_forms(n_s, n_t, gate):
-    params = Params.hardy_sobolev(N=4, k=3, p=2, beta=2)
-    rows = hardy_endpoint_sweep(params, n_s=n_s, n_t=n_t)
+    rows = hardy_endpoint_sweep(4, 3, 2, n_s=n_s, n_t=n_t)
     gaps = [row["quotient"] / closed_form_rung(row["eps"], row["lambda"]) - 1.0 for row in rows]
     ok = all(abs(gap) <= gate for gap in gaps)
     detail = ", ".join(f"eps = {row['eps']:g}: {gap:+.2e}" for row, gap in zip(rows, gaps))

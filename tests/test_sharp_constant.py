@@ -144,6 +144,36 @@ def test_eps_families_refuse_a_non_finite_eps(eps):
         eps_quotient_closed_form(eps, 2.0, 0.0, 3)
 
 
+@pytest.mark.parametrize(
+    "p, alpha, clause",
+    [
+        (math.inf, 0.0, "p finite"),
+        (2.0, math.nan, "alpha finite"),
+        (2.0, math.inf, "alpha finite"),
+        (2.0, -math.inf, "alpha finite"),
+    ],
+)
+def test_closed_form_refuses_non_finite_p_and_alpha_by_clause(p, alpha, clause):
+    # p = inf returned 0.0 and alpha = nan returned nan before Params checked them
+    with pytest.raises(DomainError, match=clause):
+        eps_quotient_closed_form(0.1, p, alpha, 3)
+
+
+@pytest.mark.parametrize("eps, p, alpha", [(1e160, 2.0, 0.0), (1e300, 2.0, 0.0), (0.1, 2000.0, -2.9)])
+def test_closed_form_refuses_a_quotient_out_of_the_float_range(eps, p, alpha):
+    # g^p overflows (a bare OverflowError before) or underflows to 0
+    with pytest.raises(DomainError, match=r"0 < Q\(eps\) <= float max violated"):
+        eps_quotient_closed_form(eps, p, alpha, 3)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_eps_family_truncated_refuses_p_at_least_dim(p):
+    # alpha = -p needs alpha + dim > 0; at p = 3 on R^2 it was an all-zero function
+    grid = make_radial_grid(2, 8.0, 16, "uniform")
+    with pytest.raises(DomainError, match=r"alpha \+ k > 0"):
+        eps_family_truncated(0.1, p, grid)
+
+
 def test_convexity_bound_basic():
     lhs, rhs = convexity_bound(1.0, 1.0, 0.5, 2.0)
     assert lhs == pytest.approx(2.0)
