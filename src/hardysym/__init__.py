@@ -59,7 +59,6 @@ from .rearrange import (
     schwarz_z,
 )
 from .sharp_constant import (
-    PowerTail,
     convexity_bound,
     dirichlet_eigenvalue_interval,
     eps_family,

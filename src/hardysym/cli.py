@@ -12,7 +12,7 @@ config file may hold only those keys, each with a value of its default's type.
 Exit status: 0 on success, 2 on validation / degenerate-input errors (the
 message names the violated clause), unknown flags, unknown config keys,
 ill-typed config values, a negative count (refine, seed, trials,
-max_iter) or a grid size out of range (n, n_s, n_t, log_r_max), 3 when
+max_iter) or a grid size out of range (n, n_s, n_t, log_r_max, r_max), 3 when
 `properties` finds a violation, 1 on I/O errors.
 
 `main` may be called any number of times in one process (the tests, the
@@ -232,9 +232,10 @@ def cmd_minimize(cfg: dict) -> int:
     """Projected descent on the constrained quotient; writes trace JSON + final CSV."""
     params = Params.hardy_sobolev(N=cfg["N"], k=cfg["k"], p=cfg["p"], beta=cfg["beta"])
     grid = _hs_grid(cfg)
-    opts = DescentOptions(max_iter=cfg["max_iter"], seed=cfg["seed"])
-    init = "bump" if cfg["seed"] == 0 else "random"
-    trace = minimize_hs(params, grid, init=init, opts=opts)
+    seed = cfg["seed"]
+    init = default_init(grid, "bump" if seed == 0 else "random", seed=seed)
+    trace = minimize_hs(params, grid, init, DescentOptions(max_iter=cfg["max_iter"]))
+    trace.meta["seed"] = seed
     out = _out_dir(cfg)
     _write_json(out / "minimize_trace.json", trace.to_dict())
     grid_function_to_csv(trace.final_u, out / "minimize_final.csv")

@@ -163,8 +163,8 @@ def _solve_ln_ratio(length: float, n: int, first_width: float) -> float:
     the bracket: the bracket keeps f(lo) <= 0 <= f(hi), so from then on no
     halving moves it, and the result is the float 200 halvings would give.
     The grids built here reach that point after about 60 halvings."""
-    if first_width <= 0:
-        raise ConfigurationError(f"first_width must be positive, got {first_width}")
+    if not 0 < first_width < math.inf:
+        raise ConfigurationError(f"first_width must be positive and finite, got {first_width}")
     if first_width * n == length:
         return 0.0
 
@@ -235,11 +235,18 @@ def make_radial_grid(
         width-continuous geometric tail up to r_max.  A cell edge lands
         exactly on r_break.
       - "equimeasure": edges r_max * (i/n)^(1/d), all cell measures equal.
+
+    r_max must be positive and finite.  first_width is read only by
+    "geometric" and r_break only by "split"; either given to another
+    grading is refused, as is a first_width that is not positive and finite.
     """
-    if r_max <= 0:
-        raise ConfigurationError("r_max must be positive")
+    if not 0 < r_max < math.inf:
+        raise ConfigurationError(f"r_max must be positive and finite, got {r_max}")
     if n < 1:
         raise ConfigurationError("need at least one cell")
+    for keyword, value, reader in (("first_width", first_width, "geometric"), ("r_break", r_break, "split")):
+        if value is not None and grading != reader:
+            raise ConfigurationError(f"{keyword} is read only by {reader!r} grading, not {grading!r}")
 
     if grading == "uniform":
         edges = np.linspace(0.0, r_max, n + 1)

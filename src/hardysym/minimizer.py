@@ -8,7 +8,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,18 +41,24 @@ class DescentOptions:
 
     tol is the stationarity residual at which the run stops (stop_reason
     "residual"); tol = 0 never stops on it, so the run ends on a failed line
-    search or at max_iter.  seed draws the "random" start.  The line
-    search's first step tau0 and its cap on halvings max_halvings are class
-    constants, not fields.  The cap is rarely reached: near the minimizer a
-    search ends at the float floor, where the predicted decrease
-    tau * (-g.d) falls to FLOAT_EPS * Q (see minimize_hs).
+    search or at max_iter.  A NaN or negative tol, or a negative max_iter,
+    is refused by name.  The line search's first step tau0 and its cap on
+    halvings max_halvings are class constants, not fields.  The cap is
+    rarely reached: near the minimizer a search ends at the float floor,
+    where the predicted decrease tau * (-g.d) falls to FLOAT_EPS * Q (see
+    minimize_hs).
     """
 
     max_iter: int = 2000
     tol: float = 1e-8
-    seed: int = 0
     tau0 = 1.0  # first step: a class constant, not a field
     max_halvings = 40  # cap on line-search halvings: a class constant, not a field
+
+    def __post_init__(self):
+        if not self.max_iter >= 0:
+            raise ConfigurationError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not self.tol >= 0:
+            raise ConfigurationError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass
@@ -122,11 +128,12 @@ def _generalized_eigh(c: np.ndarray, measures: np.ndarray):
     return lam, h[:, None] * Q
 
 
-def splu(grid: CylGrid, dirichlet: DirichletEnergy):
+def splu(dirichlet: DirichletEnergy):
     """The one factor of the descent's metric K = As⊗Mt + Ms⊗At: the
     wall-ended energy's p = 2 stiffness along each axis, given by its
-    edge_weights, tensored with the other axis's cell-measure mass.  Returns
-    an object whose solve(R) solves K for an (ns, nt) array.
+    edge_weights, tensored with the other axis's cell-measure mass, both on
+    dirichlet.grid.  Returns an object whose solve(R) solves K for an
+    (ns, nt) array.
 
     K is half the Hessian of the p = 2 energy, so it fixes no length scale.
     The wall edge makes K symmetric positive definite.  On a radial grid
@@ -140,7 +147,7 @@ def splu(grid: CylGrid, dirichlet: DirichletEnergy):
     eigenpairs are reused and one eigh serves both axes.  The name is kept
     for the benchmark's tracer, which wraps it to time the factor and each
     solve."""
-    c = dirichlet.edge_weights(0)
+    grid, c = dirichlet.grid, dirichlet.edge_weights(0)
     if grid.t_grid is None:
         c = c[:, None]
         return SimpleNamespace(solve=lambda R: np.cumsum((np.cumsum(R, axis=0) / c)[::-1], axis=0)[::-1])
@@ -177,10 +184,13 @@ def _lbfgs_direction(g, Kg, pairs, gamma, scratch):
 def minimize_hs(
     params: Params,
     grid: CylGrid,
-    init: Union[GridFunction, str] = "bump",
+    init: Optional[GridFunction] = None,
     opts: DescentOptions = DescentOptions(),
 ) -> MinimizationTrace:
     """Projected L-BFGS for S = inf { int |grad u|^p : int |u|^q / |y|^beta = 1 }.
+
+    init is a GridFunction on grid, or None for default_init(grid), the
+    centred bump; trace.meta records the grid.
 
     The Dirichlet energy is a DirichletEnergy with the zero boundary at
     r_max built into the wall edges.  Every iterate lies on the constraint
@@ -214,7 +224,9 @@ def minimize_hs(
     if params.beta is None:
         raise UsageError("minimize_hs requires Hardy-Sobolev-mode params")
     params.check_grid(grid)
-    u0 = default_init(grid, init, seed=opts.seed) if isinstance(init, str) else init
+    if isinstance(init, str):
+        raise UsageError(f"init must be a GridFunction or None, got {init!r}: use default_init(grid, kind, seed)")
+    u0 = default_init(grid) if init is None else init
     if u0.values.shape != grid.shape:
         raise UsageError(f"initializer shape {u0.values.shape} does not match grid {grid.shape}")
     if not np.any(u0.values > 0):
@@ -226,8 +238,8 @@ def minimize_hs(
     diam = math.hypot(grid.s_grid.r_max, grid.t_grid.r_max if grid.t_grid else 0.0)
     delta = DELTA_SCALE * diam if p != 2.0 else 0.0
     dirichlet = DirichletEnergy(grid, wall=True, p=p, delta=delta)
-    solve = splu(grid, dirichlet).solve
-    trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor(), "seed": opts.seed})
+    solve = splu(dirichlet).solve
+    trace = MinimizationTrace(delta_reg=delta, meta={"grid": grid.descriptor()})
 
     def constraint(V):
         density = V**q

@@ -6,7 +6,6 @@ demo."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "eps_family",
     "eps_family_truncated",
     "eps_quotient_closed_form",
-    "PowerTail",
     "tail_correction",
     "eps_sweep",
     "convexity_bound",
@@ -34,22 +32,16 @@ def hardy_constant(p: float, alpha: float, k: int) -> float:
     """Optimal constant p^p / (alpha + k)^p of the generalized Hardy inequality.
 
     The infimum of the corresponding Rayleigh quotient is its reciprocal,
-    ((alpha + k) / p)^p.  Needs a finite p > 1, a finite alpha, k >= 1 and
-    alpha + k > 0; a NaN fails the clause it is checked against.  The
-    constant is p**p / (alpha + k)**p wherever that is a finite float, and
-    (p / (alpha + k))**p where it is not; a constant that is not a positive
-    finite float is refused.
+    ((alpha + k) / p)^p.  Needs k >= 1, checked here, and then Params.hardy's
+    clauses at N = k: a finite p > 1, a finite alpha and alpha + k > 0, each
+    refused with a ParameterError (a DomainError); a NaN fails the clause it
+    is checked against.  The constant is p**p / (alpha + k)**p wherever that
+    is a finite float, and (p / (alpha + k))**p where it is not; a constant
+    that is not a positive finite float is refused.
     """
-    if not p > 1:
-        raise DomainError("p > 1 violated")
-    if not math.isfinite(p):
-        raise DomainError("p finite violated")
-    if not math.isfinite(alpha):
-        raise DomainError("alpha finite violated")
     if not k >= 1:
         raise DomainError("k >= 1 violated")
-    if not alpha + k > 0:
-        raise DomainError("alpha + k > 0 violated")
+    Params.hardy(N=k, k=k, p=p, alpha=alpha)
     try:
         constant = p**p / (alpha + k) ** p
     except (OverflowError, ZeroDivisionError):
@@ -127,35 +119,28 @@ def eps_quotient_closed_form(eps: float, p: float, alpha: float, N: int) -> floa
     return value
 
 
-@dataclass(frozen=True)
-class PowerTail:
-    """Power-law tail amplitude * r^exponent for r beyond a grid's r_max."""
-
-    amplitude: float
-    exponent: float
-
-
-def tail_correction(tail: PowerTail, grid: RadialGrid, p: float, a: float) -> float:
-    """Closed-form integral of |tail|^p r^a over (r_max, infinity) in R^dim.
+def tail_correction(amplitude: float, exponent: float, grid: RadialGrid, p: float, a: float) -> float:
+    """Closed-form integral of |amplitude r^exponent|^p r^a over
+    (r_max, infinity) in R^dim, the power tail beyond the grid.
 
     Added by callers to grid quadrature of functionals of power-decay
     families.  Raises if the remainder integral diverges, or if it is not a
     finite float (|amplitude|^p past the float range).
     """
-    if tail.amplitude == 0.0:
+    if amplitude == 0.0:
         return 0.0
-    e = p * tail.exponent + a + grid.dim
+    e = p * exponent + a + grid.dim
     if e >= 0:
         raise DomainError(
             f"tail integral diverges (combined exponent {e} >= 0); need faster decay"
         )
     try:
-        value = sphere_area(grid.dim) * abs(tail.amplitude) ** p * grid.r_max**e / (-e)
+        value = sphere_area(grid.dim) * abs(amplitude) ** p * grid.r_max**e / (-e)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(
-            f"tail integral <= float max violated: the integral of |{tail.amplitude:g} r^{tail.exponent:g}|^{p:g} "
+            f"tail integral <= float max violated: the integral of |{amplitude:g} r^{exponent:g}|^{p:g} "
             f"r^{a:g} past r = {grid.r_max:g} overflows"
         )
     return value
@@ -181,8 +166,8 @@ def eps_sweep(
         g = _decay_exponent(p, alpha, params.N, eps)
         rep = hardy_quotient(u, params)
         num, den = rep.numerator, rep.denominator
-        tail_num = tail_correction(PowerTail(g, -g - 1.0), grid, p, alpha + p)
-        tail_den = tail_correction(PowerTail(1.0, -g), grid, p, alpha)
+        tail_num = tail_correction(g, -g - 1.0, grid, p, alpha + p)
+        tail_den = tail_correction(1.0, -g, grid, p, alpha)
         quotient = (num + tail_num) / (den + tail_den)
         closed = eps_quotient_closed_form(eps, p, alpha, params.N)
         rows.append(
@@ -204,14 +189,19 @@ def convexity_bound(s, t, lam, p):
     """Two-sided evaluation of (s^2+t^2)^(p/2) <= (1-lam)^(1-p) s^p + lam^(1-p) t^p,
     elementwise over scalars or arrays that broadcast together.
 
-    Returns (lhs, rhs).
+    Returns (lhs, rhs).  Each clause below is refused by name; a NaN fails
+    the first clause it is checked against.
     """
     if not np.all((0.0 < lam) & (lam < 1.0)):
         raise DomainError("lambda in (0, 1) violated")
-    if np.any(p <= 1):
+    if not np.all(p > 1):
         raise DomainError("p > 1 violated")
-    if np.any(s < 0) or np.any(t < 0):
+    if not np.all(p < np.inf):
+        raise DomainError("p finite violated")
+    if not (np.all(s >= 0) and np.all(t >= 0)):
         raise DomainError("s, t >= 0 violated")
+    if not (np.all(s < np.inf) and np.all(t < np.inf)):
+        raise DomainError("s, t finite violated")
     lhs = np.hypot(s, t) ** p  # s * s underflows to a subnormal below s ~ 1e-154
     rhs = (1.0 - lam) ** (1.0 - p) * s**p + lam ** (1.0 - p) * t**p
     return lhs, rhs

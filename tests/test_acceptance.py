@@ -9,10 +9,10 @@ import pytest
 
 from hardysym import (
     CylGrid,
-    DescentOptions,
     GridFunction,
     Params,
     convexity_bound,
+    default_init,
     dirichlet_eigenvalue_interval,
     double_star,
     eps_sweep,
@@ -171,8 +171,8 @@ def test_acceptance_7_minimizer_self_consistency():
     for n in (64, 128):
         g = uniform_grid(n)
         for seed in range(5):
-            init = "bump" if seed == 0 else "random"
-            tr = minimize_hs(HS_PARAMS, g, init=init, opts=DescentOptions(seed=seed))
+            init = None if seed == 0 else default_init(g, "random", seed=seed)
+            tr = minimize_hs(HS_PARAMS, g, init=init)
             q = tr.quotients
             assert tr.converged, f"n={n} seed={seed} did not converge ({tr.stop_reason})"
             assert all(b <= a for a, b in zip(q, q[1:])), "non-monotone trace"

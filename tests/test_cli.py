@@ -143,6 +143,15 @@ def test_minimize_deterministic_trace(tmp_path):
     assert (d1 / "minimize_final.csv").read_bytes() == (d2 / "minimize_final.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_minimize_records_the_seed_of_its_start(tmp_path, seed):
+    # the library's trace records only the grid; the command adds the seed
+    # that drew its start
+    assert run(["minimize", "--n", "16", "--max-iter", "20", "--seed", str(seed)], tmp_path) == 0
+    meta = json.loads((tmp_path / "minimize_trace.json").read_text())["meta"]
+    assert sorted(meta) == ["grid", "seed"] and meta["seed"] == seed
+
+
 def test_radial_problem_k_equals_n(tmp_path):
     # k = N has no t-axis: the commands run the radial problem
     assert run(["symmetrize", "--N", "3", "--k", "3", "--beta", "0"], tmp_path) == 0
@@ -305,6 +314,11 @@ def test_negative_count_flag_rejected(tmp_path, capsys, args, key):
         # R = exp(log_r_max) <= 1 leaves the plateau family no room
         (["product-sweep", "--log-r-max", "-5", "--n-s", "64", "--n-t", "16"], "log_r_max"),
         (["product-sweep", "--log-r-max", "0", "--n-s", "64", "--n-t", "16"], "log_r_max"),
+        # a non-finite radius is refused by name, not by the edges it would give
+        (["minimize", "--r-max", "nan"], "r_max"),
+        (["minimize", "--r-max", "inf"], "r_max"),
+        (["symmetrize", "--r-max", "nan"], "r_max"),
+        (["symmetrize", "--r-max", "inf"], "r_max"),
     ],
 )
 def test_out_of_range_grid_flag_named(tmp_path, capsys, args, key):

@@ -211,6 +211,20 @@ def test_make_radial_grid_validation():
         make_radial_grid(3, 1.0, 10, "split", r_break=2.0)
     with pytest.raises(ConfigurationError):
         make_radial_grid(3, 1.0, 10, "geometric")
+    for r_max in (math.nan, math.inf):
+        for grading, options in GRADINGS:
+            with pytest.raises(ConfigurationError, match="r_max must be positive and finite"):
+                make_radial_grid(2, r_max, 16, grading, **options)
+    for first_width in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="first_width must be positive and finite"):
+            make_radial_grid(2, 8.0, 16, "geometric", first_width=first_width)
+    # a grading keyword given to a grading that does not read it
+    for grading in ("uniform", "split", "equimeasure"):
+        with pytest.raises(ConfigurationError, match="first_width is read only by 'geometric'"):
+            make_radial_grid(2, 8.0, 16, grading, first_width=0.1, r_break=1.0 if grading == "split" else None)
+    for grading in ("uniform", "geometric", "equimeasure"):
+        with pytest.raises(ConfigurationError, match="r_break is read only by 'split'"):
+            make_radial_grid(2, 8.0, 16, grading, r_break=1.0, first_width=0.1 if grading == "geometric" else None)
 
 
 def test_radial_grid_rejects_no_cells():

@@ -226,7 +226,7 @@ for command in hardysym.cli.DEFAULTS:
         loaded[command + " exit"] = hardysym.cli.main([command, "--out", sys.argv[1]])
 loaded["subcommands"] = scipy_modules()
 grid = CylGrid(make_radial_grid(3, 10.0, 32, "geometric", first_width=0.05))
-minimize_hs(Params.hardy_sobolev(N=3, k=3, p=2, beta=1), grid, "bump", DescentOptions(max_iter=5))
+minimize_hs(Params.hardy_sobolev(N=3, k=3, p=2, beta=1), grid, None, DescentOptions(max_iter=5))
 loaded["radial minimize"] = scipy_modules()
 import scipy.sparse
 loaded["explicit import"] = scipy_modules()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from hardysym import (
+    ConfigurationError,
     CylGrid,
     DegenerateInputError,
     DescentOptions,
@@ -42,6 +44,38 @@ def test_projection_exact():
     g = hs_grid(16)
     tr = minimize_hs(HS_PARAMS, g, opts=DescentOptions(max_iter=1))
     assert abs(tr.constraints[0] - 1.0) <= 1e-12
+
+
+def test_a_start_is_a_grid_function_or_none():
+    # None is the bump; a named start is built with default_init, not by name
+    g = hs_grid(16)
+    opts = DescentOptions(max_iter=5)
+    by_default = minimize_hs(HS_PARAMS, g, opts=opts)
+    given = minimize_hs(HS_PARAMS, g, default_init(g), opts)
+    assert by_default.quotients == given.quotients
+    assert np.array_equal(by_default.final_u.values, given.final_u.values)
+    for name in ("bump", "random"):
+        with pytest.raises(UsageError, match=r"default_init\(grid, kind, seed\)"):
+            minimize_hs(HS_PARAMS, g, name, opts)
+
+
+def test_trace_meta_records_only_the_grid():
+    # no seed built a caller's start, so none is recorded
+    g = hs_grid(16)
+    tr = minimize_hs(HS_PARAMS, g, default_init(g, "random", seed=4), DescentOptions(max_iter=5))
+    assert tr.meta == {"grid": g.descriptor()}
+
+
+def test_descent_options_fields_and_refusals():
+    assert [f.name for f in dataclasses.fields(DescentOptions)] == ["max_iter", "tol"]
+    DescentOptions(max_iter=0, tol=0.0)  # tol = 0 never stops on the residual
+    for kwargs, key in [
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": -1e-8}, "tol"),
+        ({"max_iter": -1}, "max_iter"),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"^{key} must be >= 0"):
+            DescentOptions(**kwargs)
 
 
 def test_all_zero_init_rejected():
@@ -99,8 +133,8 @@ def test_self_consistency_across_seeds():
     g = hs_grid(48)
     finals = []
     for seed in range(3):
-        init = "bump" if seed == 0 else "random"
-        tr = minimize_hs(HS_PARAMS, g, init=init, opts=DescentOptions(seed=seed))
+        init = None if seed == 0 else default_init(g, "random", seed=seed)
+        tr = minimize_hs(HS_PARAMS, g, init=init)
         assert tr.converged
         finals.append(tr.quotients[-1])
     assert (max(finals) - min(finals)) / min(finals) < 0.02
@@ -157,8 +191,8 @@ def test_stop_does_not_depend_on_the_scale_of_the_start():
 @pytest.mark.parametrize("init, seed", [("bump", 0), ("random", 1), ("random", 2)])
 def test_residual_stop(init, seed):
     g = hs_grid(64)
-    opts = DescentOptions(seed=seed)
-    tr = minimize_hs(HS_PARAMS, g, init=init, opts=opts)
+    opts = DescentOptions()
+    tr = minimize_hs(HS_PARAMS, g, init=default_init(g, init, seed=seed), opts=opts)
     assert tr.stop_reason == "residual" and tr.converged
     assert len(tr.quotients) - 1 <= 100
     assert tr.residuals[-1] <= opts.tol
@@ -177,15 +211,15 @@ def test_residual_stop_at_p_3():
 
 def zero_tol_runs():
     """Centred and off-centre starts on cylinders, and a radial grid."""
-    runs = [(HS_PARAMS, hs_grid(24), "bump")]
+    runs = [(HS_PARAMS, hs_grid(24), None)]
     for n in (32, 64):
         g = hs_grid(n)
         s, t = g.s_nodes[:, None], g.t_nodes[None, :]
-        runs.append((HS_PARAMS, g, "bump"))
+        runs.append((HS_PARAMS, g, None))
         for cs, ct, width in ((1.01, 0.28, 0.97), (2.5, 1.5, 1.0)):
             runs.append((HS_PARAMS, g, GridFunction(g, np.exp(-((s - cs) ** 2 + (t - ct) ** 2) / width**2))))
     radial = CylGrid(make_radial_grid(3, 100.0, 64, "geometric", first_width=1e-2))
-    runs.append((Params.hardy_sobolev(N=3, k=3, p=2, beta=1), radial, "bump"))
+    runs.append((Params.hardy_sobolev(N=3, k=3, p=2, beta=1), radial, None))
     return runs
 
 
@@ -396,7 +430,7 @@ def test_preconditioner_matches_direct_solve(s_grid, t_grid):
         P = P + sp.kron(sp.diags(ms), wall_stiffness(t_grid))
     R = np.random.default_rng(3).standard_normal(g.shape)
     expected = spsolve(P.tocsc(), R.ravel()).reshape(g.shape)
-    solve = splu(g, dirichlet).solve
+    solve = splu(dirichlet).solve
     assert np.max(np.abs(solve(R) - expected)) <= 1e-12 * np.max(np.abs(expected))
     # the matrix is half the p = 2 energy's Hessian
     grad = dirichlet.energy_and_gradient(R)[1]
@@ -420,7 +454,7 @@ def test_lbfgs_direction_matches_the_two_loop_with_a_middle_solve():
     # the stored K^-1 y stand in for the middle solve by linearity
     g = CylGrid(make_radial_grid(2, 8.0, 40, "uniform"), make_radial_grid(3, 6.0, 24, "uniform"))
     dirichlet = DirichletEnergy(g, True, 2.0)
-    solve = splu(g, dirichlet).solve
+    solve = splu(dirichlet).solve
     rng = np.random.default_rng(11)
     grad = rng.standard_normal(g.shape)
     pairs = []
@@ -448,7 +482,7 @@ def test_equal_pencils_are_factored_once(monkeypatch, t_grid, eighs):
     dirichlet = DirichletEnergy(g, True, 2.0)
     calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-    solve = splu(g, dirichlet).solve
+    solve = splu(dirichlet).solve
     assert len(calls) == eighs
     monkeypatch.undo()
     # sharing is bit for bit what a second eigh gives
@@ -477,7 +511,7 @@ def test_radial_factor_matches_sparse_solve(radial):
     # the two cumulative sums against a sparse direct solve of the same stiffness
     g = CylGrid(radial)
     K = wall_stiffness(radial).tocsc()
-    lu = splu(g, DirichletEnergy(g, True, 2.0))
+    lu = splu(DirichletEnergy(g, True, 2.0))
     for b in np.random.default_rng(5).standard_normal((20, radial.n)):
         x = lu.solve(b[:, None])
         assert x.shape == (radial.n, 1)

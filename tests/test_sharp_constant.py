@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hardysym import (
     CylGrid,
     DomainError,
     GridFunction,
+    ParameterError,
     Params,
-    PowerTail,
     convexity_bound,
     dirichlet_eigenvalue_interval,
     eps_family,
@@ -70,6 +71,16 @@ def test_hardy_constant_validation():
             hardy_constant(*args)
 
 
+@pytest.mark.parametrize("args", [(1, 0, 3), (math.inf, 0, 3), (2, math.nan, 3), (2, -3, 3), (2, -5, 1)])
+def test_hardy_constant_refuses_what_params_refuses(args):
+    # past k >= 1 the clauses are Params.hardy's at N = k, word for word
+    p, alpha, k = args
+    with pytest.raises(ParameterError) as expected:
+        Params.hardy(N=k, k=k, p=p, alpha=alpha)
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(expected.value))}$"):
+        hardy_constant(p, alpha, k)
+
+
 def test_closed_form_quotient_against_quadrature_oracle():
     # independent oracle: dense log-spaced quadrature of both integrals of the
     # plateau / power-decay family
@@ -117,11 +128,11 @@ def test_tail_correction_examples():
     g = make_radial_grid(3, 10.0, 16, "uniform")
     # u = r^-2 outside r=10 in R^3, p=1, a=0: 4 pi int_10^inf r^-2 r^2 dr diverges
     with pytest.raises(DomainError):
-        tail_correction(PowerTail(1.0, -2.0), g, 1.0, 0.0)
+        tail_correction(1.0, -2.0, g, 1.0, 0.0)
     # p=2: 4 pi int_10^inf r^-4 r^2 dr = 4 pi / 10
-    val = tail_correction(PowerTail(1.0, -2.0), g, 2.0, 0.0)
+    val = tail_correction(1.0, -2.0, g, 2.0, 0.0)
     assert val == pytest.approx(4 * math.pi / 10.0, rel=1e-12)
-    assert tail_correction(PowerTail(0.0, -2.0), g, 1.0, 0.0) == 0.0
+    assert tail_correction(0.0, -2.0, g, 1.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("amplitude", [1e160, 1e200, math.inf])
@@ -129,7 +140,7 @@ def test_tail_correction_refuses_an_overflowing_integral(amplitude):
     # |amplitude|^2 passes the float range: an OverflowError or inf before
     g = make_radial_grid(3, 10.0, 16, "uniform")
     with pytest.raises(DomainError, match="tail integral <= float max violated"):
-        tail_correction(PowerTail(amplitude, -2.0), g, 2.0, 0.0)
+        tail_correction(amplitude, -2.0, g, 2.0, 0.0)
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
@@ -185,6 +196,25 @@ def test_convexity_bound_basic():
         convexity_bound(1.0, 1.0, 0.5, 1.0)
     with pytest.raises(DomainError):
         convexity_bound(-1.0, 1.0, 0.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "args, clause",
+    [
+        ((1.0, 1.0, 0.5, math.nan), "p > 1"),
+        ((1.0, 1.0, 0.5, math.inf), "p finite"),
+        ((math.nan, 1.0, 0.5, 2.0), "s, t >= 0"),
+        ((1.0, math.nan, 0.5, 2.0), "s, t >= 0"),
+        ((math.inf, 1.0, 0.5, 2.0), "s, t finite"),
+        ((1.0, math.inf, 0.5, 2.0), "s, t finite"),
+        ((np.array([1.0, math.inf]), np.ones(2), 0.5, 2.0), "s, t finite"),
+        ((1.0, 1.0, math.nan, 2.0), "lambda in \\(0, 1\\)"),
+    ],
+)
+def test_convexity_bound_refuses_non_finite_input_by_clause(args, clause):
+    # a NaN fails the first clause it meets; an infinity its finiteness clause
+    with pytest.raises(DomainError, match=clause):
+        convexity_bound(*args)
 
 
 def test_convexity_bound_approaches_equality_at_degenerate_boundary():

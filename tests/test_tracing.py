@@ -50,7 +50,8 @@ def test_tracer_times_the_metric_factor_and_solves_on_a_cylinder(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traces = [hardysym.minimize_hs(params, grid, init, DescentOptions(max_iter=30)) for init in ("bump", "random")]
+        starts = (None, hardysym.default_init(grid, "random"))
+        traces = [hardysym.minimize_hs(params, grid, init, DescentOptions(max_iter=30)) for init in starts]
     finally:
         tracer.uninstall()
     iterations = sum(len(trace.quotients) - 1 for trace in traces)
