@@ -55,7 +55,9 @@ _CONVEXITY_BLOCK = 4096  # convexity samples per block of `properties`: its temp
 
 
 def _fmt(x) -> str:
-    """Deterministic shortest-round-trip formatting for CSV cells."""
+    """Deterministic CSV cell text: a float as `%.17g`, 17 significant
+    digits, which round-trips but is not the shortest form (0.1 is
+    0.10000000000000001); anything else as `str`."""
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)

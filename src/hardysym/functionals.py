@@ -29,8 +29,9 @@ class Params:
     Hardy mode is active when alpha is set (requires alpha + k > 0);
     Hardy-Sobolev mode when beta is set, and then q is always derived from
     (N, p, beta) via condition (H): q = p (N - beta) / (N - p).  q is not a
-    constructor argument.  p, alpha and beta must be finite; a NaN fails the
-    first clause it is checked against.
+    constructor argument.  N and k are dimensions: each must be a Python or
+    numpy integer, checked first.  p, alpha and beta must be finite; a NaN
+    fails the first clause it is checked against.
     """
 
     N: int
@@ -41,6 +42,9 @@ class Params:
     q: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
+        for name in ("N", "k"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ParameterError(f"{name} integer violated")
         if self.N < 1:
             raise ParameterError("N >= 1 violated")
         if not (1 <= self.k <= self.N):

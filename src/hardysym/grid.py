@@ -356,11 +356,23 @@ class GridFunction:
         expected = self.grid.shape if isinstance(self.grid, CylGrid) else (self.grid.n,)
         if values.shape != expected:
             raise UsageError(f"values shape {values.shape} does not match grid {expected}")
-        if not np.isfinite(values).all():
-            raise DomainError("grid function values must be finite")
-        if (values < 0).any():
+        # one min/max pass; a NaN fails it too, and only then is the cause named
+        if not (values.min() >= 0.0 and values.max() < math.inf):
+            if not np.isfinite(values).all():
+                raise DomainError("grid function values must be finite")
             raise DomainError("grid function values must be nonnegative")
         values.setflags(write=False)
+
+    @classmethod
+    def _unchecked(cls, grid, values: np.ndarray) -> "GridFunction":
+        """A grid function of values known to pass __post_init__'s checks (a
+        rearrangement of checked values), built without running them; the
+        values are made read-only, as a checked build makes them."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "grid", grid)
+        object.__setattr__(u, "values", values)
+        values.setflags(write=False)
+        return u
 
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.grid, c * self.values)
@@ -374,7 +386,7 @@ def integrate(grid, cell_values) -> float:
         raise UsageError(
             f"cell_values shape {cell_values.shape} does not match grid {measures.shape}"
         )
-    return float(np.sum(cell_values * measures))
+    return float((cell_values * measures).sum())
 
 
 def as_2d(u: GridFunction) -> tuple:
@@ -573,16 +585,20 @@ def grid_function_to_csv(u: GridFunction, path) -> None:
 
     The bytes are those of a default `csv.writer` (comma-separated, CRLF
     line ends) with every cell formatted as `%.17g`; no cell needs quoting.
-    Each node is formatted once, and the file is written one s-row at a time,
+    The t nodes are formatted once, into a template of one s-row's lines
+    whose fields are the row's s, values and measures.  Each s-row is then
+    one `%` of that template, and the file is written one s-row at a time,
     so no whole-file string is formed.
     """
     values, grid = as_2d(u)
-    t_cells = ["%.17g" % t for t in grid.t_nodes.tolist()]
+    template = "".join(["%%s,%.17g,%%.17g,%%.17g\r\n" % t for t in grid.t_nodes.tolist()])
     t_measures = grid.t_measures
+    fields = [None] * (3 * len(t_measures))
     with open(path, "w", newline="") as fh:
         fh.write("s,t,value,cell_measure\r\n")
         for s, row, s_measure in zip(grid.s_nodes.tolist(), values, grid.s_grid.cell_measures.tolist()):
-            prefix = "%.17g," % s
+            fields[0::3] = ["%.17g" % s] * len(t_measures)
+            fields[1::3] = row.tolist()
             # s_measure * t_measures is the row of np.outer in cell_measures
-            cells = zip(t_cells, row.tolist(), (s_measure * t_measures).tolist())
-            fh.write("".join(["%s%s,%.17g,%.17g\r\n" % (prefix, t, v, m) for t, v, m in cells]))
+            fields[2::3] = (s_measure * t_measures).tolist()
+            fh.write(template % tuple(fields))

@@ -32,13 +32,17 @@ def hardy_constant(p: float, alpha: float, k: int) -> float:
     """Optimal constant p^p / (alpha + k)^p of the generalized Hardy inequality.
 
     The infimum of the corresponding Rayleigh quotient is its reciprocal,
-    ((alpha + k) / p)^p.  Needs k >= 1, checked here, and then Params.hardy's
-    clauses at N = k: a finite p > 1, a finite alpha and alpha + k > 0, each
-    refused with a ParameterError (a DomainError); a NaN fails the clause it
-    is checked against.  The constant is p**p / (alpha + k)**p wherever that
-    is a finite float, and (p / (alpha + k))**p where it is not; a constant
-    that is not a positive finite float is refused.
+    ((alpha + k) / p)^p.  Needs an integer k ("k integer", so that a
+    refusal names k, not N) and k >= 1, both checked here, and then
+    Params.hardy's clauses at N = k: a finite p > 1, a finite alpha and
+    alpha + k > 0, each refused with a ParameterError (a DomainError); a NaN
+    fails the clause it is checked against.  The constant is
+    p**p / (alpha + k)**p wherever that is a finite float, and
+    (p / (alpha + k))**p where it is not; a constant that is not a positive
+    finite float is refused.
     """
+    if not isinstance(k, (int, np.integer)):
+        raise DomainError("k integer violated")
     if not k >= 1:
         raise DomainError("k >= 1 violated")
     Params.hardy(N=k, k=k, p=p, alpha=alpha)

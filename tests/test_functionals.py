@@ -63,6 +63,10 @@ def test_params_hs_mode_derives_q():
         (dict(N=3, k=3, p=2, alpha=math.nan), "alpha finite"),
         (dict(N=4, k=2, p=2, beta=math.inf), "beta finite"),
         (dict(N=4, k=2, p=2, beta=math.nan), "beta finite"),
+        (dict(N=2.5, k=2.5, p=2, alpha=0), "N integer"),
+        (dict(N=4.5, k=2, p=2, beta=1), "N integer"),
+        (dict(N=3, k=2.0, p=2, alpha=0), "k integer"),
+        (dict(N=math.inf, k=3, p=2, alpha=0), "N integer"),
     ],
 )
 def test_params_named_clause_errors(kwargs, clause):
@@ -70,6 +74,11 @@ def test_params_named_clause_errors(kwargs, clause):
 
     with pytest.raises(ParameterError, match=re.escape(clause)):
         Params(**kwargs)
+
+
+def test_params_take_numpy_integer_dimensions():
+    params = Params.hardy_sobolev(N=np.int64(4), k=np.int32(2), p=2, beta=1)
+    assert params.q == Params.hardy_sobolev(N=4, k=2, p=2, beta=1).q == 3.0
 
 
 def test_params_q_is_not_a_constructor_argument():

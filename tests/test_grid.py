@@ -659,10 +659,28 @@ def test_grid_function_validation():
     g = make_radial_grid(3, 1.0, 4, "uniform")
     with pytest.raises(UsageError):
         GridFunction(g, np.ones(5))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be nonnegative"):
         GridFunction(g, np.array([1.0, -1.0, 0.0, 0.0]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be finite"):
         GridFunction(g, np.array([1.0, np.inf, 0.0, 0.0]))
+    # the finite check comes first: a NaN beside a negative value is not finite
+    cyl = CylGrid(g, make_radial_grid(1, 1.0, 2, "uniform"))
+    for grid, values in [
+        (g, [np.nan, 1.0, 0.0, 0.0]),
+        (g, [1.0, 0.0, -np.inf, 0.0]),
+        (g, [np.nan, -1.0, 0.0, 0.0]),
+        (g, [-1.0, 0.0, 0.0, np.nan]),
+        (cyl, [[1.0, 0.0], [0.0, 0.0], [0.0, np.inf], [0.0, 0.0]]),
+    ]:
+        with pytest.raises(DomainError, match="must be finite"):
+            GridFunction(grid, np.array(values))
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        GridFunction(cyl, np.array([[1.0, 0.0], [0.0, -1e-300], [0.0, 0.0], [0.0, 0.0]]))
+    # -0.0 is not negative; the stored values are read-only
+    u = GridFunction(g, np.array([0.0, -0.0, 1.0, 2.0]))
+    assert not u.values.flags.writeable
+    with pytest.raises(ValueError):
+        u.values[0] = 1.0
 
 
 def test_grid_function_csv_round_trip(tmp_path):

@@ -12,7 +12,9 @@ evaluates its `DirichletEnergy` only through `energy_and_gradient`, one
 pass per candidate; of the other methods it calls only `edge_weights`,
 which states the metric.  No function in `rearrange` takes cell
 `measures` or a `starts` layout: each pass takes both from its RadialGrid,
-the one place a rearrangement's layout is formed.  A guard keeps
+the one place a rearrangement's layout is formed.  Only `rearrange`, whose
+passes rearrange values that were checked, names `GridFunction._unchecked`,
+the build that skips the checks.  A guard keeps
 scipy out of `import hardysym`, of every default subcommand and of a radial
 (k = N) minimization: scipy is a test dependency only.  A last guard keeps
 `import hardysym.cli` from building the argument parser, whose cost would
@@ -210,6 +212,24 @@ def test_guard_finds_a_layout_parameter():
 
 def test_rearrange_takes_its_layout_from_the_radial_grid():
     assert layout_parameters((PACKAGE / "rearrange.py").read_text()) == []
+
+
+def unchecked_builds(source: str) -> int:
+    """Number of `_unchecked` attributes in `source`: calls of the
+    GridFunction build that runs no checks, or aliases of it."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == "_unchecked" for node in ast.walk(ast.parse(source)))
+
+
+def test_guard_finds_an_unchecked_build():
+    assert unchecked_builds("u = GridFunction._unchecked(grid, out)\nv = GridFunction(grid, out)\n") == 1
+    assert unchecked_builds("build = grid.GridFunction._unchecked\nu = build(g, values)\n") == 1
+    assert unchecked_builds("def _unchecked(cls, grid, values):\n    pass\n") == 0
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_only_rearrange_skips_the_grid_function_checks(path):
+    builds = unchecked_builds(path.read_text())
+    assert builds > 0 if path.name == "rearrange.py" else builds == 0
 
 
 SCIPY_GUARD = """

@@ -362,6 +362,87 @@ def test_schwarz_z_is_the_identity_without_a_t_axis(cylinder):
 
 
 # ---------------------------------------------------------------------------
+# the array path: double_star and the checks built on it run the passes on
+# arrays and wrap once, or not at all
+
+
+def array_path_cases():
+    """(label, u, weight): values with ties on a radial grid, an m = 0
+    cylinder and equimeasure, uniform, geometric and split cylinders, and
+    Fortran-ordered inputs on two of them, each with a double-star-fixed
+    weight."""
+    rng = np.random.default_rng(37)
+    radial = make_radial_grid(3, 4.0, 20, "geometric", first_width=0.05)
+    s_grids = {
+        "equimeasure": make_radial_grid(2, 8.0, 24, "equimeasure"),
+        "uniform": make_radial_grid(2, 8.0, 24, "uniform"),
+        "geometric": make_radial_grid(2, 8.0, 24, "geometric", first_width=0.05),
+        "split": make_radial_grid(2, 8.0, 24, "split", r_break=2.0),
+    }
+    grids = {"radial": radial, "m = 0 cylinder": CylGrid(radial)}
+    grids.update((name, CylGrid(s, make_radial_grid(1, 3.0, 9, "uniform"))) for name, s in s_grids.items())
+    cases = []
+    for label, g in grids.items():
+        shape = g.shape if isinstance(g, CylGrid) else (g.n,)
+        s_nodes = g.s_nodes if isinstance(g, CylGrid) else g.nodes
+        t_weight = 1.0 / (1.0 + g.t_nodes) if isinstance(g, CylGrid) else np.ones(1)
+        weight = GridFunction(g, np.outer(np.exp(-s_nodes / 2), t_weight).reshape(shape))
+        values = np.round(rng.uniform(size=shape), 1)  # ties
+        cases.append((label, GridFunction(g, values), weight))
+        if label in ("equimeasure", "uniform"):  # the sort path and the weighted one
+            cases.append((f"{label}, Fortran-ordered", GridFunction(g, np.asfortranarray(values)), weight))
+    return cases
+
+
+ARRAY_PATH_CASES = array_path_cases()
+ARRAY_PATH_IDS = [label for label, _, _ in ARRAY_PATH_CASES]
+
+
+def reference_is_double_star_fixed(u):
+    fixed = schwarz_z(schwarz_y(u))
+    scale = float(u.values.max())
+    return scale == 0.0 or bool(np.max(np.abs(fixed.values - u.values)) <= 1e-12 * scale)
+
+
+def reference_hardy_littlewood(u, v):
+    return integrate(u.grid, u.values * v.values), integrate(u.grid, schwarz_z(schwarz_y(u)).values * v.values)
+
+
+@pytest.mark.parametrize("label, u, weight", ARRAY_PATH_CASES, ids=ARRAY_PATH_IDS)
+def test_double_star_array_path_matches_the_two_passes(label, u, weight):
+    star = double_star(u)
+    assert star.grid is u.grid
+    assert star.values.shape == u.values.shape
+    assert star.values.tobytes() == schwarz_z(schwarz_y(u)).values.tobytes()
+    # a fixed point whose last s-row is raised past the one before it by
+    # 1e-6 of its maximum is moved by that much, so it is not fixed
+    nearly = star.values.copy()
+    nearly[-1] = nearly[-2] + 1e-6 * nearly.max()
+    nearly = GridFunction(u.grid, nearly)
+    for v in (u, star, weight, u.scaled(0.0), nearly):
+        assert is_double_star_fixed(v) is reference_is_double_star_fixed(v)
+    assert reference_is_double_star_fixed(star) and reference_is_double_star_fixed(weight)
+    assert not reference_is_double_star_fixed(u) and not reference_is_double_star_fixed(nearly)
+    plain, symmetrized = hardy_littlewood_check(u, weight)
+    assert (plain, symmetrized) == reference_hardy_littlewood(u, weight)
+    assert symmetrized >= plain
+
+
+@pytest.mark.parametrize("label, u, weight", ARRAY_PATH_CASES, ids=ARRAY_PATH_IDS)
+def test_pass_results_are_read_only_and_share_no_memory(label, u, weight):
+    passes = [schwarz_y(u), double_star(u), double_star(weight)]
+    if isinstance(u.grid, CylGrid) and u.grid.t_grid is not None:
+        passes.append(schwarz_z(u))
+    else:
+        assert schwarz_z(u) is u  # the identity returns its input
+    for result, source in zip(passes, [u, u, weight, u]):
+        assert not result.values.flags.writeable
+        assert not np.shares_memory(result.values, source.values)
+        with pytest.raises(ValueError):
+            result.values[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # inequalities
 
 

@@ -66,6 +66,9 @@ def test_hardy_constant_validation():
         ((2, -math.inf, 3), "alpha finite"),
         ((2, 1, 0), "k >= 1"),
         ((2, 5, -3), "k >= 1"),
+        # k is a dimension: an infinite or fractional k is refused by name
+        ((2, 0, math.inf), "k integer"),
+        ((2, 0, 2.5), "k integer"),
     ]:
         with pytest.raises(DomainError, match=clause):
             hardy_constant(*args)
